@@ -28,7 +28,7 @@ from singscan import (  # noqa: E402
     mh_benchmark,
     mh_report,
     roc_auc,
-    singularity_scores,
+    score_columns,
 )
 
 
@@ -53,8 +53,7 @@ def main() -> int:
         for labeled, is_manifold in rows:
             r_tilde, _ = local_scale(labeled.cloud, rng=np.random.default_rng(args.seed))
             params = Hyperparams(Radius(1.5 * r_tilde), args.eta, kernel)
-            res = singularity_scores(labeled.cloud, params, nulls)
-            p = np.array([x.p_value if x.p_value is not None else np.nan for x in res])
+            p = score_columns(labeled.cloud, params, nulls).p_value
             rep = mh_report(p, kernel, nulls)
             stats["supc"].append(rep.supc)
             stats["upup"].append(-(rep.upup_p or 1.0))

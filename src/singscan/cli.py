@@ -32,7 +32,7 @@ from .nulls import DEFAULT_N_REF, DEFAULT_N_SIMS, NullCache
 from .scoring import filter_labels
 from .synth import ShapeSpec, generate
 from .tuning import SearchGrid, _local_scale_with_dim, default_grid, grid_search
-from .uniformity import Hyperparams, Knn, Radius, singularity_scores
+from .uniformity import Hyperparams, Knn, Radius, score_columns
 
 
 @dataclass
@@ -91,12 +91,7 @@ def _hyperparams(cfg: RunConfig) -> Hyperparams:
     return Hyperparams(hood, cfg.eta, PowerSeriesKernel(param=cfg.alpha))
 
 
-def _p_array(results) -> np.ndarray:
-    return np.array([r.p_value if r.p_value is not None else np.nan for r in results])
-
-
-def _labels_for(results) -> np.ndarray:
-    p = _p_array(results)
+def _labels_for(p: np.ndarray) -> np.ndarray:
     if np.isfinite(p).sum() < 10:
         print("warning: fewer than 10 scored points, all labels set to 0", file=sys.stderr)
         return np.zeros(len(p), dtype=int)
@@ -109,10 +104,10 @@ def cmd_detect(args: argparse.Namespace) -> int:
         raise InputError("detect needs --input and --output")
     params = _hyperparams(cfg)
     cloud = read_point_cloud_csv(cfg.input)
-    results = singularity_scores(
+    scores = score_columns(
         cloud, params, _null_cache(cfg), subsample_fraction=cfg.subsample, seed=cfg.seed
     )
-    write_scores_csv(cfg.output, results, _labels_for(results))
+    write_scores_csv(cfg.output, scores, _labels_for(scores.p_value))
     return 0
 
 
@@ -151,10 +146,10 @@ def cmd_auto(args: argparse.Namespace) -> int:
         cloud, grid, nulls, volume_dim=volume_dim,
         subsample_fraction=cfg.subsample, seed=cfg.seed,
     )
-    results = singularity_scores(
+    scores = score_columns(
         cloud, search.best, nulls, subsample_fraction=cfg.subsample, seed=cfg.seed
     )
-    write_scores_csv(cfg.output, results, _labels_for(results))
+    write_scores_csv(cfg.output, scores, _labels_for(scores.p_value))
     report_lines = ["r,eta,alpha,dispersion,n_singular,warn_degenerate"]
     for row in search.report:
         report_lines.append(
@@ -173,11 +168,10 @@ def cmd_mh_test(args: argparse.Namespace) -> int:
         if cfg.input is None:
             raise InputError("mh-test needs --scores or --input")
         cloud = read_point_cloud_csv(cfg.input)
-        results = singularity_scores(
+        p = score_columns(
             cloud, _hyperparams(cfg), _null_cache(cfg),
             subsample_fraction=cfg.subsample, seed=cfg.seed,
-        )
-        p = _p_array(results)
+        ).p_value
     kernel = PowerSeriesKernel(param=cfg.alpha)
     report = mh_report(p, kernel, _null_cache(cfg))
     payload = {

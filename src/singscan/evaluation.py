@@ -25,7 +25,7 @@ from .synth import (
     ground_truth_labels,
     scaled_experiment_params,
 )
-from .uniformity import Hyperparams, Radius, singularity_scores
+from .uniformity import Hyperparams, Radius, score_columns
 
 # Family -> base radius r0; all families share N0 = 15000 and growth 1.5.
 FAMILY_R0 = {SOLID_BALL: 0.02, TWO_DISKS: 0.1, TWO_SPHERES: 0.03}
@@ -117,11 +117,8 @@ def run_synthetic_suite(
         n = max(1, int(round(n_full * scale)))
         labeled = generate(ShapeSpec(family, n, dim=d, noise_amplitude=0.0, seed=seed))
         start = time.perf_counter()
-        results = singularity_scores(
-            labeled.cloud, Hyperparams(Radius(r_d), eta, kernel), nulls
-        )
+        p = score_columns(labeled.cloud, Hyperparams(Radius(r_d), eta, kernel), nulls).p_value
         seconds = time.perf_counter() - start
-        p = np.array([res.p_value if res.p_value is not None else np.nan for res in results])
         scores = log_inv_p(p)
         labels = ground_truth_labels(labeled, r_d / 2.0)
         rows.append(SuiteRow(family, d, n, r_d, roc_curve(scores, labels).auc, seconds))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import secrets
 from pathlib import Path
 
 import numpy as np
@@ -55,12 +56,25 @@ def read_point_cloud_csv(path: str | Path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` in one step: write a temporary file of a
+    name unique to this write in the same directory, then rename it over
+    ``path``.  Concurrent writers of one path never share a temporary file,
+    so each rename installs one writer's complete data."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    atomic_write_bytes(path, text.encode())
 
 
 def write_point_cloud_csv(path: str | Path, coords: np.ndarray) -> None:
@@ -68,26 +82,19 @@ def write_point_cloud_csv(path: str | Path, coords: np.ndarray) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def write_scores_csv(path: str | Path, results, labels) -> None:
-    """Per-point detect output: index, est_dim, k_obs, mmd, p_value,
-    log_inv_p, label.  Missing score fields are left empty."""
+def write_scores_csv(path: str | Path, scores, labels) -> None:
+    """Per-point detect output of a ``Scores``: index, est_dim, k_obs, mmd,
+    p_value, log_inv_p, label.  Missing score fields are left empty."""
     lines = [",".join(SCORES_HEADER)]
-    for res, label in zip(results, labels):
-        liv = None if res.p_value is None else -math.log(res.p_value)
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (res.index, res.d_hat, res.k_obs, res.mmd, res.p_value, liv, label)
-            )
-        )
+    columns = zip(
+        scores.k_obs.tolist(), scores.d_hat.tolist(), scores.mmd.tolist(),
+        scores.p_value.tolist(), np.asarray(labels).tolist(),
+    )
+    for i, (k, d, mmd, p, label) in enumerate(columns):
+        if math.isnan(p):
+            lines.append(f"{i},,{k},,,,{label}")
+        else:
+            lines.append(f"{i},{int(d)},{k},{mmd:.17g},{p:.17g},{-math.log(p):.17g},{label}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -14,9 +14,12 @@ and the radial moments E||X||^(2k) = d / (d + 2k) of the uniform disk.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
+
+from .geometry import BLOCK_BYTES
 
 GEOMETRIC = "geometric"
 EXP_DOT = "expdot"
@@ -28,7 +31,12 @@ NORM_TOLERANCE = 1e-6
 # Squared-MMD values are mathematically nonnegative; float cancellation this
 # far below zero is tolerated and clamped, anything worse is a genuine bug.
 NEGATIVE_CLAMP = -1e-12
+_NO_CLAMP_SQ_NORM = 1.0 - 1e-9
 
+# Gram blocks hold at most about BLOCK_BYTES, and at most _SAMPLES_PER_BLOCK
+# small samples at once (a few small Grams stay in cache); one large sample
+# is cut into row blocks of at most _GRAM_CHUNK rows.
+_SAMPLES_PER_BLOCK = 8
 _GRAM_CHUNK = 512
 
 
@@ -69,44 +77,40 @@ class PowerSeriesKernel:
             return 1.0 / (1.0 - self.param * np.asarray(t, dtype=float))
         return np.exp(self.param * np.asarray(t, dtype=float))
 
-    def coefficients(self, upto: int) -> np.ndarray:
-        """a_k for k = 0..upto."""
-        k = np.arange(upto + 1)
+    def coefficients(self, k) -> np.ndarray:
+        """a_k at the nonnegative indices k (an integer or an integer array)."""
+        k = np.asarray(k)
         if self.kind == GEOMETRIC:
             return self.param**k
         return np.exp(k * np.log(self.param) - gammaln(k + 1.0))
 
-    def even_coefficients(self, upto: int) -> np.ndarray:
-        """a_{2k} for k = 0..upto (the only coefficients the disk series sees)."""
-        k2 = 2 * np.arange(upto + 1)
-        if self.kind == GEOMETRIC:
-            return self.param**k2
-        return np.exp(k2 * np.log(self.param) - gammaln(k2 + 1.0))
 
-
-def beta_coeff(d: int, k: int) -> float:
-    """beta(d, k) via log-Gamma; equals 1 at k = 0 and 1/(d+2) at k = 1."""
+def beta_coeff(d: int, k):
+    """beta(d, k) via log-Gamma for an integer or an integer array k; equals 1
+    at k = 0 and 1/(d+2) at k = 1."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    if k < 0:
+    ks = np.asarray(k)
+    if np.any(ks < 0):
         raise ValueError("k must be >= 0")
-    return float(
-        np.exp(
-            gammaln(d / 2.0 + 1.0)
-            + gammaln(k + 0.5)
-            - gammaln(k + d / 2.0 + 1.0)
-            - 0.5 * np.log(np.pi)
-        )
-    )
-
-
-def _beta_vector(d: int, ks: np.ndarray) -> np.ndarray:
-    return np.exp(
+    out = np.exp(
         gammaln(d / 2.0 + 1.0)
         + gammaln(ks + 0.5)
         - gammaln(ks + d / 2.0 + 1.0)
         - 0.5 * np.log(np.pi)
     )
+    return float(out) if out.ndim == 0 else out
+
+
+@lru_cache(maxsize=256)
+def _disk_series(kernel: PowerSeriesKernel, d: int) -> tuple[np.ndarray, float]:
+    """The disk series of the MMD formula for one (kernel, d): coefficients
+    c_j = a_{2j} beta(d, j), j = 0..order, and the disk-side total
+    sum_j c_j E||X||^(2j) with E||X||^(2j) = d / (d + 2j)."""
+    ks = np.arange(kernel.order + 1)
+    coeffs = kernel.coefficients(2 * ks) * beta_coeff(d, ks)
+    coeffs.flags.writeable = False
+    return coeffs, float(np.sum(coeffs * d / (d + 2.0 * ks)))
 
 
 def kernel_eval(inner_product, kernel: PowerSeriesKernel):
@@ -126,18 +130,80 @@ def kernel_eval(inner_product, kernel: PowerSeriesKernel):
     return out
 
 
-def _radial_moment_sums(sq_norms: np.ndarray, upto: int) -> np.ndarray:
-    """mean_i ||x_i||^(2k) for k = 0..upto (the k = 0 entry is 1 by 0^0 = 1)."""
-    powers = np.vander(sq_norms, upto + 1, increasing=True)
-    return powers.mean(axis=0)
+def mmd_sq_stack(stack: np.ndarray, kernel: PowerSeriesKernel, weights=None) -> np.ndarray:
+    """Squared MMD of each (n, d) sample of an (m, n, d) stack against the
+    uniform d-disk: ``mmd_sq_vs_uniform_disk`` of every sample at once;
+    ``weights`` (length n, shared by the stack) weight the points.
+
+    The Gram term is summed over blocks of at most about BLOCK_BYTES: a few
+    whole samples at a time when n is small, row blocks of one sample when it
+    is large.  The disk series is a polynomial in each squared norm,
+    evaluated by Horner's rule.
+    """
+    m, n, d = stack.shape
+    sq_norms = np.einsum("mij,mij->mi", stack, stack)
+    if np.any(sq_norms > (1.0 + NORM_TOLERANCE) ** 2):
+        raise ValueError("points not rescaled to the unit disk")
+
+    # With every squared norm at most _NO_CLAMP_SQ_NORM no inner product can
+    # round out of [-1, 1], and the clamp would change nothing.
+    needs_clamp = sq_norms.max() > _NO_CLAMP_SQ_NORM
+    gram_bytes = 8 * n * n
+    per_block = max(1, min(_SAMPLES_PER_BLOCK, BLOCK_BYTES // gram_bytes))
+    rows = n if gram_bytes <= BLOCK_BYTES else min(_GRAM_CHUNK, max(1, BLOCK_BYTES // (8 * n)))
+    gram = np.zeros(m)
+    for a in range(0, m, per_block):
+        part = stack[a : a + per_block]
+        part_t = part.transpose(0, 2, 1)
+        for r in range(0, n, rows):
+            block = part[:, r : r + rows] @ part_t
+            if needs_clamp:
+                np.clip(block, -1.0, 1.0, out=block)
+            # In-place closed form; this loop dominates the cost of scoring
+            # and of a null build.
+            if kernel.kind == GEOMETRIC:
+                block *= -kernel.param
+                block += 1.0
+                np.reciprocal(block, out=block)
+            else:
+                block *= kernel.param
+                np.exp(block, out=block)
+            if weights is None:
+                gram[a : a + per_block] += block.sum(axis=(1, 2))
+            else:
+                gram[a : a + per_block] += (block @ weights) @ weights[r : r + rows]
+
+    coeffs, disk_total = _disk_series(kernel, d)
+    poly = np.full_like(sq_norms, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        poly *= sq_norms
+        poly += c
+    if weights is None:
+        gram /= n * n
+        sample = poly.mean(axis=1)
+    else:
+        total = weights.sum()
+        gram /= total * total
+        sample = (poly @ weights) / total
+
+    value = gram + (disk_total - 2.0 * sample)
+    worst = value.min()
+    if worst < NEGATIVE_CLAMP:
+        raise RuntimeError(
+            f"squared MMD evaluated to {worst}, below the negativity tolerance"
+        )
+    return np.maximum(value, 0.0)
 
 
-def mmd_sq_vs_uniform_disk(points, kernel: PowerSeriesKernel) -> float:
+def mmd_sq_vs_uniform_disk(points, kernel: PowerSeriesKernel, weights=None) -> float:
     """Squared MMD between the empirical measure of ``points`` and the uniform
     distribution on the unit d-disk, d = number of columns.
 
-    Gram term uses the exact closed form of the kernel; the disk series is
-    truncated at ``kernel.order``.  Cost O(n^2 d + n * order).
+    With ``weights`` the empirical measure puts mass proportional to
+    ``weights[i]`` on ``points[i]``; integer weights give the same value as
+    repeating each point that many times.  Gram term uses the exact closed
+    form of the kernel; the disk series is truncated at ``kernel.order``.
+    Cost O(n^2 d + n * order).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -147,40 +213,13 @@ def mmd_sq_vs_uniform_disk(points, kernel: PowerSeriesKernel) -> float:
         raise ValueError("empty sample")
     if d == 0:
         raise ValueError("points must have at least one coordinate")
-    sq_norms = np.einsum("ij,ij->i", pts, pts)
-    if np.any(sq_norms > (1.0 + NORM_TOLERANCE) ** 2):
-        raise ValueError("points not rescaled to the unit disk")
-
-    gram_total = 0.0
-    for start in range(0, n, _GRAM_CHUNK):
-        block = pts[start : start + _GRAM_CHUNK] @ pts.T
-        np.clip(block, -1.0, 1.0, out=block)
-        # In-place closed form; this loop dominates the cost of a null build.
-        if kernel.kind == GEOMETRIC:
-            block *= -kernel.param
-            block += 1.0
-            np.reciprocal(block, out=block)
-        else:
-            block *= kernel.param
-            np.exp(block, out=block)
-        gram_total += float(block.sum())
-    gram = gram_total / (n * n)
-
-    ks = np.arange(kernel.order + 1)
-    a2k = kernel.even_coefficients(kernel.order)
-    beta = _beta_vector(d, ks)
-    disk_moments = d / (d + 2.0 * ks)
-    sample_moments = _radial_moment_sums(sq_norms, kernel.order)
-    series = float(np.sum(a2k * beta * (disk_moments - 2.0 * sample_moments)))
-
-    value = gram + series
-    if value < 0.0:
-        if value < NEGATIVE_CLAMP:
-            raise RuntimeError(
-                f"squared MMD evaluated to {value}, below the negativity tolerance"
-            )
-        value = 0.0
-    return value
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != (n,):
+            raise ValueError("weights must have one entry per point")
+        if not np.all(np.isfinite(weights)) or np.any(weights < 0) or weights.sum() <= 0:
+            raise ValueError("weights must be finite, nonnegative and not all zero")
+    return float(mmd_sq_stack(pts[None], kernel, weights)[0])
 
 
 def expected_mmd_sq(kernel: PowerSeriesKernel, d: int, n: int) -> float:
@@ -193,12 +232,7 @@ def expected_mmd_sq(kernel: PowerSeriesKernel, d: int, n: int) -> float:
         raise ValueError("d must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    ks = np.arange(kernel.order + 1)
-    a2k = kernel.even_coefficients(kernel.order)
-    beta = _beta_vector(d, ks)
-    e_cross = float(np.sum(a2k * beta * d / (d + 2.0 * ks)))
-
+    _, e_cross = _disk_series(kernel, d)
     k_all = np.arange(2 * kernel.order + 1)
-    a_all = kernel.coefficients(2 * kernel.order)
-    e_self = float(np.sum(a_all * d / (d + 2.0 * k_all)))
+    e_self = float(np.sum(kernel.coefficients(k_all) * d / (d + 2.0 * k_all)))
     return (e_self - e_cross) / n

@@ -52,8 +52,10 @@ def upup(p_values, kernel: PowerSeriesKernel, nulls: NullCache) -> tuple[float, 
     p = np.asarray(p_values, dtype=float)
     if p.size < UPUP_MIN_VALUES:
         raise ValueError(f"need at least {UPUP_MIN_VALUES} p-values")
-    mapped = (2.0 * p - 1.0).reshape(-1, 1)
-    mmd = mmd_sq_vs_uniform_disk(mapped, kernel)
+    # Many p-values repeat (a null table has finitely many levels), so the
+    # Gram runs over the distinct values, each weighted by its count.
+    values, counts = np.unique(2.0 * p - 1.0, return_counts=True)
+    mmd = mmd_sq_vs_uniform_disk(values.reshape(-1, 1), kernel, counts)
     table = nulls.get(1, kernel)
     return p.size * mmd, p_value(table, p.size, mmd)
 

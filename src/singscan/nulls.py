@@ -8,7 +8,6 @@ saturating at 1 / n_sims.
 
 from __future__ import annotations
 
-import os
 import struct
 import threading
 import warnings
@@ -17,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .io import atomic_write_bytes
 from .kernels import EXP_DOT, GEOMETRIC, PowerSeriesKernel, mmd_sq_vs_uniform_disk
 
 TAIL_MASS = 0.05
@@ -93,21 +93,28 @@ def build_null(
     return NullTable(d, kind, param, n_ref, n_sims, seed, stats, rate, anchor)
 
 
-def p_value(table: NullTable, k_obs: int, mmd_sq_obs: float) -> float:
+def p_value(table: NullTable, k_obs, mmd_sq_obs):
     """Survival probability of the scaled statistic k_obs * mmd_sq_obs.
 
     Inside the simulated range the smoothed empirical survival fraction is
     used; beyond the tail anchor the fitted exponential takes over, floored
-    at 1e-300 so downstream logs stay finite.
+    at 1e-300 so downstream logs stay finite.  Scalars give a float; arrays
+    (broadcast together) give an array of p-values.
     """
-    if k_obs < 1:
+    k = np.asarray(k_obs)
+    if np.any(k < 1):
         raise ValueError("k_obs must be >= 1")
-    s = k_obs * mmd_sq_obs
-    if s <= table.tail_anchor:
-        n_ge = table.n_sims - int(np.searchsorted(table.stats, s, side="left"))
-        return (n_ge + 1) / (table.n_sims + 1)
-    p = table.tail_mass * float(np.exp(-table.tail_rate * (s - table.tail_anchor)))
-    return max(p, P_FLOOR)
+    s = k * np.asarray(mmd_sq_obs, dtype=float)
+    n_ge = table.n_sims - np.searchsorted(table.stats, s, side="left")
+    p = (n_ge + 1) / (table.n_sims + 1)
+    tail = s > table.tail_anchor
+    if np.any(tail):
+        p = np.asarray(p, dtype=float)
+        p[tail] = np.maximum(
+            table.tail_mass * np.exp(-table.tail_rate * (s[tail] - table.tail_anchor)),
+            P_FLOOR,
+        )
+    return float(p) if np.ndim(p) == 0 else p
 
 
 def _table_filename(d: int, kind: str, param: float, n_ref: int, n_sims: int) -> str:
@@ -124,9 +131,7 @@ def _write_table(path: Path, table: NullTable) -> None:
         table.n_sims,
         table.seed,
     )
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(header + table.stats.astype("<f8").tobytes())
-    os.replace(tmp, path)
+    atomic_write_bytes(path, header + table.stats.astype("<f8").tobytes())
 
 
 def _read_table(path: Path) -> NullTable:

@@ -25,7 +25,7 @@ from .scoring import (
     knee_detect,
     knn_neighbor_sets,
 )
-from .uniformity import Hyperparams, Radius, singularity_scores
+from .uniformity import Hyperparams, Radius, score_columns
 
 DEFAULT_ETAS = (0.7, 0.8, 0.9)
 DEFAULT_ALPHAS = (0.3, 0.5, 0.7)
@@ -170,8 +170,10 @@ def default_grid(r_range: tuple[float, float], dim: float, n_radii: int = 4) -> 
     lo, hi = r_range
     d = max(float(dim), 1.0)
     volumes = np.geomspace(lo**d, hi**d, n_radii)
-    radii = tuple(float(v ** (1.0 / d)) for v in volumes)
-    return SearchGrid(radii=radii, bounds=(lo, 4.0 * hi))
+    radii = [float(v ** (1.0 / d)) for v in volumes]
+    # (lo^d)^(1/d) can round below lo, which the bounds would then reject.
+    radii[0], radii[-1] = float(lo), float(hi)
+    return SearchGrid(radii=tuple(radii), bounds=(lo, 4.0 * hi))
 
 
 def _expand_radii(radii_sorted: list[float], bounds: tuple[float, float], dim: float) -> list[float]:
@@ -223,12 +225,9 @@ def grid_search(
             return rows[key]
         params = Hyperparams(Radius(r), eta, PowerSeriesKernel(param=alpha))
         try:
-            results = singularity_scores(
+            p = score_columns(
                 coords, params, nulls, subsample_fraction=subsample_fraction, seed=seed
-            )
-            p = np.array(
-                [res.p_value if res.p_value is not None else np.nan for res in results]
-            )
+            ).p_value
             labels = filter_labels(p)
             rep = dispersion(coords, labels, neighbor_sets, alpha_reg)
             n_sing = int(labels.sum())

@@ -1,14 +1,15 @@
-"""The per-point uniformity test: isolate, rescale, project, score, p-value.
+"""The uniformity test: isolate, rescale, project, score, p-value.
 
 A point is scored by comparing its rescaled, PCA-projected neighborhood
 against the uniform distribution on the unit disk of the estimated dimension.
 Neighborhoods with fewer than MIN_NEIGHBORHOOD members are reported with
-missing score fields instead of being tested.
+missing score fields instead of being tested.  ``score_columns`` scores all
+points at once in batches; ``uniformity_test`` scores one point and is the
+reference the batched path is tested against.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -16,15 +17,17 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import (
+    BLOCK_BYTES,
     MIN_NEIGHBORHOOD,
     NeighborIndex,
     as_point_cloud,
     local_pca,
+    local_pca_stack,
     neighbors_knn,
     neighbors_radius,
     project,
 )
-from .kernels import PowerSeriesKernel, mmd_sq_vs_uniform_disk
+from .kernels import PowerSeriesKernel, mmd_sq_stack, mmd_sq_vs_uniform_disk
 from .nulls import NullCache, p_value
 
 
@@ -100,6 +103,103 @@ def uniformity_test(
     return UniformityResult(i, k_obs, pca.d_hat, mmd, p_value(table, k_obs, mmd))
 
 
+@dataclass(frozen=True, eq=False)
+class Scores:
+    """Per-point outcome of a detection run as columns over the points: the
+    neighborhood size ``k_obs`` and, NaN where the neighborhood was too small
+    to test, the estimated dimension ``d_hat``, ``mmd`` and ``p_value``."""
+
+    k_obs: np.ndarray
+    d_hat: np.ndarray
+    mmd: np.ndarray
+    p_value: np.ndarray
+
+
+def _query_points(n: int, subsample_fraction: float, seed: int) -> np.ndarray:
+    if not 0.0 < subsample_fraction <= 1.0:
+        raise ValueError("subsample_fraction must be in (0, 1]")
+    if subsample_fraction >= 1.0:
+        return np.arange(n)
+    m = min(n, max(1, math.ceil(subsample_fraction * n)))
+    rng = np.random.default_rng(seed)
+    return np.sort(rng.choice(n, size=m, replace=False))
+
+
+def _neighborhood_chunks(index: NeighborIndex, queries: np.ndarray, hood: Radius | Knn):
+    """Chunks of (queries, member counts, flattened members, rescaling radii)."""
+    if isinstance(hood, Radius):
+        for chunk, counts, members in index.radius_members_batch(queries, hood.r):
+            yield chunk, counts, members, np.full(len(chunk), float(hood.r))
+    else:
+        for chunk, members, dists in index.knn_members_batch(queries, hood.k):
+            yield chunk, np.full(len(chunk), hood.k), members.ravel(), dists[:, -1]
+
+
+def _score_stack(stack: np.ndarray, params: Hyperparams) -> tuple[np.ndarray, np.ndarray]:
+    """d_hat and squared MMD of each neighborhood of an (m, k, D) stack."""
+    dims, axes = local_pca_stack(stack, params.eta)
+    projected = stack @ axes.transpose(0, 2, 1)
+    mmd = np.empty(len(stack))
+    for d in np.unique(dims):
+        sel = np.flatnonzero(dims == d)
+        mmd[sel] = mmd_sq_stack(projected[sel, :, :d], params.kernel)
+    return dims, mmd
+
+
+def score_columns(
+    cloud,
+    params: Hyperparams,
+    nulls: NullCache,
+    subsample_fraction: float = 1.0,
+    seed: int = 0,
+) -> Scores:
+    """Score every point, batched: the columns of ``singularity_scores``.
+
+    Neighborhoods are gathered in chunks, grouped by size into stacks of at
+    most about BLOCK_BYTES, and each stack goes through one stacked PCA and
+    batched MMD; p-values are looked up per estimated dimension.
+    """
+    coords = as_point_cloud(cloud)
+    n, dim = coords.shape
+    queries = _query_points(n, subsample_fraction, seed)
+    index = NeighborIndex(coords)
+
+    m = len(queries)
+    k_obs = np.zeros(m, dtype=np.intp)
+    d_hat = np.full(m, np.nan)
+    mmd = np.full(m, np.nan)
+    done = 0
+    for chunk, counts, members, scales in _neighborhood_chunks(index, queries, params.neighborhood):
+        k_obs[done : done + len(chunk)] = counts
+        starts = np.cumsum(counts) - counts
+        for k in np.unique(counts[counts >= MIN_NEIGHBORHOOD]):
+            group = np.flatnonzero(counts == k)
+            per_stack = max(1, BLOCK_BYTES // (8 * k * dim))
+            for a in range(0, len(group), per_stack):
+                sel = group[a : a + per_stack]
+                stack = coords[members[starts[sel, None] + np.arange(k)]]
+                stack -= coords[chunk[sel], None]
+                # A zero k-th neighbor distance means every member sits on
+                # the center; those neighborhoods rescale to zeros.
+                stack /= np.where(scales[sel] > 0, scales[sel], np.inf)[:, None, None]
+                d_hat[done + sel], mmd[done + sel] = _score_stack(stack, params)
+        done += len(chunk)
+
+    p = np.full(m, np.nan)
+    tested = np.flatnonzero(k_obs >= MIN_NEIGHBORHOOD)
+    for d in np.unique(d_hat[tested]).astype(int):
+        sel = tested[d_hat[tested] == d]
+        p[sel] = p_value(nulls.get(int(d), params.kernel), k_obs[sel], mmd[sel])
+
+    columns = (k_obs, d_hat, mmd, p)
+    if m < n:
+        # Every unscored point takes the values of its nearest scored point.
+        _, nearest = cKDTree(coords[queries]).query(coords)
+        nearest[queries] = np.arange(m)
+        columns = tuple(col[nearest] for col in columns)
+    return Scores(*columns)
+
+
 def singularity_scores(
     cloud,
     params: Hyperparams,
@@ -109,29 +209,14 @@ def singularity_scores(
 ) -> list[UniformityResult]:
     """Score every point; with subsample_fraction < 1 only a seeded subsample
     of query points is scored and each remaining point inherits the result of
-    its nearest scored point."""
-    if not 0.0 < subsample_fraction <= 1.0:
-        raise ValueError("subsample_fraction must be in (0, 1]")
-    coords = as_point_cloud(cloud)
-    n = coords.shape[0]
-    index = NeighborIndex(coords)
-
-    if subsample_fraction >= 1.0:
-        queries = np.arange(n)
-    else:
-        m = min(n, max(1, math.ceil(subsample_fraction * n)))
-        rng = np.random.default_rng(seed)
-        queries = np.sort(rng.choice(n, size=m, replace=False))
-
-    results: dict[int, UniformityResult] = {}
-    for i in queries:
-        results[int(i)] = uniformity_test(coords, int(i), params, nulls, index=index)
-
-    if len(queries) < n:
-        scored_tree = cKDTree(coords[queries])
-        unscored = np.setdiff1d(np.arange(n), queries, assume_unique=True)
-        _, nearest = scored_tree.query(coords[unscored])
-        for j, q in zip(unscored, queries[np.atleast_1d(nearest)]):
-            results[int(j)] = dataclasses.replace(results[int(q)], index=int(j))
-
-    return [results[i] for i in range(n)]
+    its nearest scored point.  The rows of ``score_columns``."""
+    cols = score_columns(cloud, params, nulls, subsample_fraction, seed)
+    results = []
+    for i, (k, d, mmd, p) in enumerate(
+        zip(cols.k_obs.tolist(), cols.d_hat.tolist(), cols.mmd.tolist(), cols.p_value.tolist())
+    ):
+        if k < MIN_NEIGHBORHOOD:
+            results.append(UniformityResult(i, k))
+        else:
+            results.append(UniformityResult(i, k, int(d), mmd, p))
+    return results

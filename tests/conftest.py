@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from singscan import NullCache
@@ -8,7 +7,3 @@ from singscan import NullCache
 def null_cache(tmp_path_factory):
     """Disk-backed cache shared across the whole run so tables amortize."""
     return NullCache(tmp_path_factory.mktemp("nulls"), seed=0)
-
-
-def p_array(results):
-    return np.array([r.p_value if r.p_value is not None else np.nan for r in results])

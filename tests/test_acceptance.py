@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from conftest import p_array
 from singscan import (
     Hyperparams,
     PowerSeriesKernel,
@@ -31,6 +30,7 @@ from singscan import (
     roc_curve,
     run_synthetic_suite,
     sample_uniform_ball,
+    score_columns,
     singularity_scores,
     supc,
 )
@@ -179,8 +179,7 @@ def test_criterion_07_manifold_hypothesis_separation(null_cache):
         scores = {}
         for shape in ("sphere", "two_spheres"):
             lab = generate(ShapeSpec(shape, 2000, dim=2, noise_amplitude=0.0, seed=seed))
-            res = singularity_scores(lab.cloud, params, null_cache)
-            p = p_array(res)
+            p = score_columns(lab.cloud, params, null_cache).p_value
             scores[shape] = supc(p[np.isfinite(p)])
         if scores["two_spheres"] > scores["sphere"]:
             wins += 1

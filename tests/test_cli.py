@@ -245,3 +245,21 @@ def test_auto_all_degenerate_grid_is_internal_failure(tmp_path, disk_csv, null_c
     ])
     assert code == 1
     assert "degenerate" in capsys.readouterr().err
+
+
+def test_auto_on_rotated_translated_demo_cloud(tmp_path, null_cache):
+    # On this rigid motion of the demo cloud the lowest grid radius used to
+    # round one ulp below the search range, and auto exited 1.
+    lab = generate(ShapeSpec("two_circles", 1000, noise_amplitude=0.01, seed=5))
+    rng = np.random.default_rng(1)
+    theta = rng.uniform(0, 2 * np.pi)
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    cloud = tmp_path / "moved.csv"
+    np.savetxt(cloud, lab.cloud @ rot.T + rng.uniform(-5, 5, 2), delimiter=",", fmt="%.17g")
+    out = tmp_path / "scores.csv"
+    code = main([
+        "auto", "--input", str(cloud), "--output", str(out), "--subsample", "0.25",
+        "--seed", "0", "--null-dir", str(null_cache.directory),
+    ])
+    assert code == 0
+    assert len(out.read_text().strip().split("\n")) == 1001

@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+import singscan
 from singscan import (
     NullCache,
     PowerSeriesKernel,
@@ -14,6 +20,7 @@ from singscan import (
     p_value,
     sample_uniform_ball,
 )
+from singscan.nulls import _read_table
 
 KERN = PowerSeriesKernel("geometric", 0.5)
 
@@ -184,3 +191,40 @@ def test_cache_safe_under_concurrent_access(tmp_path):
         tables = list(pool.map(lambda _: cache.get(2, KERN), range(8)))
     assert all(t is tables[0] for t in tables)
     assert len(list(tmp_path.glob("null_*.bin"))) == 1
+
+
+_WRITER = textwrap.dedent("""
+    import sys
+    from pathlib import Path
+
+    import numpy as np
+
+    from singscan.io import atomic_write_text
+    from singscan.nulls import NullTable, _write_table
+
+    root = Path(sys.argv[1])
+    table = NullTable(2, "geometric", 0.5, 100, 200, 0, np.linspace(0.0, 1.0, 200), 1.0, 0.9)
+    for _ in range(300):
+        _write_table(root / "null.bin", table)
+        atomic_write_text(root / "out.csv", "0.5,0.25\\n" * 1000)
+""")
+
+
+def test_concurrent_writers_share_a_table_and_an_output(tmp_path):
+    # More writer processes than cores rewrite one null table and one output
+    # file at once: every write succeeds and each file stays whole.
+    env = dict(os.environ)
+    src = str(Path(singscan.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    procs = [
+        subprocess.Popen([sys.executable, "-c", _WRITER, str(tmp_path)], env=env,
+                         stderr=subprocess.PIPE)
+        for _ in range(4)
+    ]
+    for proc in procs:
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err.decode()
+    table = _read_table(tmp_path / "null.bin")
+    assert np.array_equal(table.stats, np.linspace(0.0, 1.0, 200))
+    assert (tmp_path / "out.csv").read_text() == "0.5,0.25\n" * 1000
+    assert not list(tmp_path.glob("*.tmp"))

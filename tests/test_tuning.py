@@ -100,7 +100,12 @@ def test_default_grid_volume_geometric():
     vols = np.array(grid.radii) ** 2
     ratios = vols[1:] / vols[:-1]
     assert ratios == pytest.approx(np.full(3, ratios[0]))
-    assert grid.radii[0] == pytest.approx(0.1) and grid.radii[-1] == pytest.approx(0.4)
+    assert grid.radii[0] == 0.1 and grid.radii[-1] == 0.4
+    # (lo^d)^(1/d) rounds below lo for some (lo, d); the ends stay exact
+    rng = np.random.default_rng(0)
+    for lo, dim in zip(rng.uniform(1e-3, 1.0, 200), rng.uniform(1.0, 3.0, 200)):
+        grid = default_grid((lo, 3.3 * lo), dim)
+        assert grid.radii[0] == lo and grid.radii[-1] == 3.3 * lo
 
 
 def test_grid_validation():
@@ -147,10 +152,9 @@ def test_grid_search_two_circles_end_to_end(null_cache):
     out = grid_search(lab.cloud, grid, null_cache, seed=0, subsample_fraction=0.25)
     best_r = out.best.neighborhood.r
     assert best_r == min(r.r for r in [out.best.neighborhood]) and best_r <= max(grid.radii)
-    from singscan import filter_labels, log_inv_p, singularity_scores
+    from singscan import filter_labels, log_inv_p, score_columns
 
-    results = singularity_scores(lab.cloud, out.best, null_cache)
-    p = np.array([x.p_value if x.p_value is not None else np.nan for x in results])
+    p = score_columns(lab.cloud, out.best, null_cache).p_value
     truth = ground_truth_labels(lab, best_r / 2.0)
     assert truth.sum() > 0 and truth.sum() < len(truth)
     # classification scores are log(1/p); the winning configuration must

@@ -1,16 +1,20 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.spatial import cKDTree
 
-from conftest import p_array
 from singscan import (
     Hyperparams,
     Knn,
+    NeighborIndex,
     PowerSeriesKernel,
     Radius,
+    filter_labels,
     sample_uniform_ball,
+    score_columns,
     singularity_scores,
     uniformity_test,
 )
@@ -177,3 +181,69 @@ def test_knn_pipeline_in_high_ambient_dimension(null_cache):
     assert all(r.d_hat == 3 for r in res)
     assert all(r.k_obs == 60 for r in res)
     assert np.median([r.p_value for r in res]) > 0.01
+
+
+def _oracle_columns(cloud, params, nulls, points):
+    """k_obs, d_hat, mmd, p of the per-point test at ``points``, NaN where missing."""
+    index = NeighborIndex(np.asarray(cloud, dtype=float))
+    rows = [uniformity_test(cloud, int(i), params, nulls, index=index) for i in points]
+    nan = lambda v: np.nan if v is None else v  # noqa: E731
+    return (
+        np.array([r.k_obs for r in rows]),
+        np.array([nan(r.d_hat) for r in rows], dtype=float),
+        np.array([nan(r.mmd) for r in rows], dtype=float),
+        np.array([nan(r.p_value) for r in rows], dtype=float),
+    )
+
+
+def _assert_matches_oracle(cols, oracle):
+    k, d, mmd, p = oracle
+    assert np.array_equal(cols.k_obs, k)
+    assert np.array_equal(cols.d_hat, d, equal_nan=True)
+    np.testing.assert_allclose(cols.mmd, mmd, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(cols.p_value, p, rtol=1e-12, atol=0)
+    assert np.array_equal(filter_labels(cols.p_value), filter_labels(p))
+
+
+def test_batched_radius_matches_per_point_oracle(null_cache):
+    # A disk, a segment and a ball in R^3, plus sparse outliers whose
+    # neighborhoods are too small to test.
+    rng = np.random.default_rng(41)
+    disk = np.column_stack([sample_uniform_ball(2, 1200, rng), np.zeros(1200)])
+    segment = np.column_stack([np.zeros((300, 2)), rng.uniform(-1, 1, 300)])
+    ball = sample_uniform_ball(3, 600, rng) * 0.5 + np.array([2.5, 0.0, 0.0])
+    outliers = rng.uniform(-4, 4, size=(40, 3)) + np.array([0.0, 0.0, 6.0])
+    cloud = np.vstack([disk, segment, ball, outliers])
+    params = Hyperparams(Radius(0.2), 0.8, PowerSeriesKernel("expdot", 2.0))
+    cols = score_columns(cloud, params, null_cache)
+    oracle = _oracle_columns(cloud, params, null_cache, range(len(cloud)))
+    assert set(np.unique(oracle[1][np.isfinite(oracle[1])])) == {1.0, 2.0, 3.0}
+    assert np.sum(oracle[0] < 10) > 0
+    _assert_matches_oracle(cols, oracle)
+    rows = singularity_scores(cloud, params, null_cache)
+    nan = lambda v: np.nan if v is None else v  # noqa: E731
+    assert [r.index for r in rows] == list(range(len(cloud)))
+    assert np.array_equal([nan(r.p_value) for r in rows], cols.p_value, equal_nan=True)
+
+
+def test_batched_knn_high_dimension_matches_per_point_oracle(null_cache):
+    rng = np.random.default_rng(42)
+    basis, _ = np.linalg.qr(rng.standard_normal((100, 3)))
+    cloud = sample_uniform_ball(3, 400, rng) @ basis.T
+    cloud += 0.01 * rng.standard_normal(cloud.shape)
+    params = Hyperparams(Knn(60), 0.9, KERN)
+    cols = score_columns(cloud, params, null_cache)
+    _assert_matches_oracle(cols, _oracle_columns(cloud, params, null_cache, range(len(cloud))))
+
+
+def test_batched_subsample_matches_per_point_oracle(null_cache):
+    cloud = _disk_cloud(800, 43, query_at_origin=False)
+    params = Hyperparams(Radius(0.3), 0.8, KERN)
+    cols = score_columns(cloud, params, null_cache, subsample_fraction=0.25, seed=3)
+    n = len(cloud)
+    queries = np.sort(
+        np.random.default_rng(3).choice(n, size=math.ceil(0.25 * n), replace=False)
+    )
+    _, nearest = cKDTree(cloud[queries]).query(cloud)
+    oracle = _oracle_columns(cloud, params, null_cache, queries)
+    _assert_matches_oracle(cols, tuple(col[nearest] for col in oracle))
