@@ -1,7 +1,7 @@
 """Command-line interface: detect / auto / mh-test / synth / roc / ingest-dct.
 
-Every command is deterministic given --seed; --threads never changes numeric
-output.  Exit codes: 0 success, 1 internal failure, 2 user-input error.
+Every command is deterministic given --seed.  Exit codes: 0 success,
+1 internal failure, 2 user-input error.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ class RunConfig:
     eta: float = 0.8
     alpha: float = 0.5
     seed: int = 0
-    threads: int = 0
     null_dir: str | None = None
     null_sims: int = DEFAULT_N_SIMS
     null_nref: int = DEFAULT_N_REF
@@ -252,8 +251,6 @@ def _add_common(sub: argparse.ArgumentParser, with_hyper: bool = True) -> None:
     sub.add_argument("--output", help="output file")
     sub.add_argument("--config", help="JSON config file; flags override its values")
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--threads", type=int, default=None,
-                     help="accepted for compatibility; outputs never depend on it")
     sub.add_argument("--null-dir", dest="null_dir", default=None)
     sub.add_argument("--null-sims", dest="null_sims", type=int, default=None)
     sub.add_argument("--null-nref", dest="null_nref", type=int, default=None)

@@ -6,6 +6,7 @@ import csv
 import math
 import os
 import secrets
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +26,9 @@ def _try_parse_row(cells: list[str]) -> list[float] | None:
         return None
 
 
-def read_point_cloud_csv(path: str | Path) -> np.ndarray:
-    """Headerless CSV of one point per row; a leading row with non-numeric
-    cells is treated as a header.  Malformed rows are reported by line number."""
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"input file not found: {path}")
+def _scan_point_rows(path: Path) -> np.ndarray:
+    """Parse the point-cloud CSV one csv record at a time, naming the line of
+    the first malformed row."""
     rows: list[list[float]] = []
     width = None
     with open(path, newline="") as fh:
@@ -56,6 +54,34 @@ def read_point_cloud_csv(path: str | Path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+def read_point_cloud_csv(path: str | Path) -> np.ndarray:
+    """Headerless CSV of one point per row; a leading row with non-numeric
+    cells is treated as a header.  Malformed rows are reported by line number.
+
+    Well-formed files are parsed in C by ``np.loadtxt``.  When that parse
+    fails or yields a non-finite value, the record-by-record scan runs
+    instead: it names the offending line, and it also reads what only it
+    accepts (blank or comma-only rows, quoted cells)."""
+    path = Path(path)
+    if not path.exists():
+        raise InputError(f"input file not found: {path}")
+    with open(path, newline="") as fh:
+        first = next(csv.reader(fh), [])
+    header = any(c.strip() for c in first) and _try_parse_row(first) is None
+    try:
+        with warnings.catch_warnings():
+            # A file without data rows warns here; the scan reports it.
+            warnings.simplefilter("ignore", UserWarning)
+            coords = np.loadtxt(
+                path, delimiter=",", comments=None, ndmin=2, skiprows=int(header)
+            )
+    except ValueError:
+        return _scan_point_rows(path)
+    if coords.size == 0 or not np.all(np.isfinite(coords)):
+        return _scan_point_rows(path)
+    return coords
+
+
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     """Replace ``path`` with ``data`` in one step: write a temporary file of a
     name unique to this write in the same directory, then rename it over
@@ -78,8 +104,11 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def write_point_cloud_csv(path: str | Path, coords: np.ndarray) -> None:
-    lines = [",".join(format(v, ".17g") for v in row) for row in np.atleast_2d(coords)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """One point per row, each value as ``%.17g`` (round-trips exactly)."""
+    rows = np.atleast_2d(coords)
+    fmt = ",".join(["%.17g"] * rows.shape[1])
+    # Row by row, so only one row's Python floats are alive at a time.
+    atomic_write_text(path, "\n".join(fmt % tuple(row.tolist()) for row in rows) + "\n")
 
 
 def write_scores_csv(path: str | Path, scores, labels) -> None:

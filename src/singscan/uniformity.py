@@ -138,7 +138,8 @@ def _neighborhood_chunks(index: NeighborIndex, queries: np.ndarray, hood: Radius
 def _score_stack(stack: np.ndarray, params: Hyperparams) -> tuple[np.ndarray, np.ndarray]:
     """d_hat and squared MMD of each neighborhood of an (m, k, D) stack."""
     dims, axes = local_pca_stack(stack, params.eta)
-    projected = stack @ axes.transpose(0, 2, 1)
+    # A contiguous operand keeps the stacked matmul on BLAS.
+    projected = stack @ axes.transpose(0, 2, 1).copy()
     mmd = np.empty(len(stack))
     for d in np.unique(dims):
         sel = np.flatnonzero(dims == d)

@@ -207,9 +207,11 @@ def test_ingest_dct_rejects_non_square(tmp_path):
 
 
 def test_config_file_fills_missing_flags(tmp_path, disk_csv, null_cache):
+    # "threads" names no RunConfig field (the flag is gone); the merge reads
+    # only those fields, so a config file that still carries it loads.
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
-        "radius": 0.4, "eta": 0.8, "alpha": 0.5, "seed": 0,
+        "radius": 0.4, "eta": 0.8, "alpha": 0.5, "seed": 0, "threads": 4,
         "null_dir": str(null_cache.directory),
     }))
     out_cfg = tmp_path / "from_config.csv"
@@ -219,6 +221,13 @@ def test_config_file_fills_missing_flags(tmp_path, disk_csv, null_cache):
     out_flags = tmp_path / "from_flags.csv"
     assert main(_detect_args(disk_csv, out_flags, null_cache.directory)) == 0
     assert out_cfg.read_text() == out_flags.read_text()
+
+
+def test_threads_flag_is_usage_error(tmp_path, disk_csv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(_detect_args(disk_csv, tmp_path / "o.csv", tmp_path / "nulls", ["--threads", "2"]))
+    assert info.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_missing_input_file_is_exit_2(tmp_path, capsys):

@@ -13,6 +13,8 @@ from singscan import (
     mmd_sq_vs_uniform_disk,
     sample_uniform_ball,
 )
+from singscan.geometry import BLOCK_BYTES
+from singscan.kernels import mmd_sq_stack
 
 GEOM_HALF = PowerSeriesKernel("geometric", 0.5)
 
@@ -224,3 +226,72 @@ def test_large_sample_mmd_near_expected():
     se = draws.std(ddof=1)
     assert abs(draws[0] - expected) < 5.0 * se
     assert abs(draws.mean() - expected) < 4.0 * se / math.sqrt(len(draws))
+
+
+def _oracle_mmd_sq(pts, kern, weights=None):
+    """The squared MMD from its definition, one Gram row at a time: the
+    weighted mean of kappa(x_i . x_j) over all pairs (inner products clipped
+    to [-1, 1]), minus twice the sample's mean of the disk series in
+    ||x_i||^2, plus the series' disk total."""
+    n, d = pts.shape
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    w = w / w.sum()
+    gram = math.fsum(
+        w[i] * math.fsum(w * kern.closed_form(np.clip(pts @ pts[i], -1.0, 1.0)))
+        for i in range(n)
+    )
+    ks = np.arange(kern.order + 1)
+    coeffs = kern.coefficients(2 * ks) * beta_coeff(d, ks)
+    sq = np.einsum("ij,ij->i", pts, pts)
+    sample = math.fsum(w * (sq[:, None] ** ks[None, :] @ coeffs))
+    disk = math.fsum(coeffs * d / (d + 2.0 * ks))
+    return gram + disk - 2.0 * sample
+
+
+def _off_center_stack(rng, m, n, d):
+    # Shrunk and shifted off the origin so the MMD is far from zero and a
+    # relative tolerance measures the Gram, not cancellation.
+    stack = np.stack([0.6 * sample_uniform_ball(d, n, rng) for _ in range(m)])
+    stack[:, :, 0] += 0.3
+    return stack
+
+
+ORACLE_KERNELS = [
+    PowerSeriesKernel("expdot", 1.3),
+    PowerSeriesKernel("expdot", 2.0),
+    PowerSeriesKernel("geometric", 0.3),
+    PowerSeriesKernel("geometric", 0.5),
+]
+
+
+@pytest.mark.parametrize("kern", ORACLE_KERNELS, ids=lambda k: f"{k.kind}{k.param}")
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_mmd_sq_stack_matches_pairwise_oracle(kern, d):
+    # 11 samples of 40 points: two blocks of several samples each.  The scale
+    # folded into the Gram operand is exact only for powers of two, hence the
+    # tolerance; the clamp path (a point at norm exactly 1) keeps the order
+    # clip, then scale.
+    rng = np.random.default_rng(100 * d + int(10 * kern.param))
+    stack = _off_center_stack(rng, 11, 40, d)
+    weights = rng.integers(1, 6, size=40).astype(float)
+    clamped = stack.copy()
+    clamped[3, 7] = 0.0
+    clamped[3, 7, 0] = 1.0
+    for sample in (stack, clamped):
+        for w in (None, weights):
+            got = mmd_sq_stack(sample, kern, w)
+            want = [_oracle_mmd_sq(pts, kern, w) for pts in sample]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kern", [ORACLE_KERNELS[0], ORACLE_KERNELS[2]], ids=lambda k: k.kind)
+def test_mmd_sq_stack_row_blocks_match_oracle(kern):
+    # n = 2100: an 8 n^2-byte Gram exceeds BLOCK_BYTES, so the one sample is
+    # summed in row blocks.
+    rng = np.random.default_rng(5)
+    pts = _off_center_stack(rng, 1, 2100, 2)
+    assert 8 * 2100**2 > BLOCK_BYTES
+    weights = rng.integers(1, 4, size=2100).astype(float)
+    for w in (None, weights):
+        got = mmd_sq_stack(pts, kern, w)[0]
+        assert got == pytest.approx(_oracle_mmd_sq(pts[0], kern, w), rel=1e-12, abs=0)
