@@ -27,7 +27,6 @@ from .kernels import (
     PowerSeriesKernel,
     beta_coeff,
     expected_mmd_sq,
-    kernel_eval,
     mmd_sq_vs_uniform_disk,
 )
 from .mh import MhReport, ks_uniform, mh_report, supc, upup
@@ -35,7 +34,6 @@ from .nulls import (
     NullCache,
     NullTable,
     build_null,
-    null_cache_get,
     p_value,
     sample_uniform_ball,
 )
@@ -119,7 +117,6 @@ __all__ = [
     "grid_search",
     "ground_truth_labels",
     "kde_density",
-    "kernel_eval",
     "knee_detect",
     "knn_neighbor_sets",
     "ks_uniform",
@@ -132,7 +129,6 @@ __all__ = [
     "mmd_sq_vs_uniform_disk",
     "neighbors_knn",
     "neighbors_radius",
-    "null_cache_get",
     "p_value",
     "project",
     "purity",

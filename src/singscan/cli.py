@@ -28,7 +28,7 @@ from .io import (
 )
 from .kernels import PowerSeriesKernel
 from .mh import mh_report
-from .nulls import DEFAULT_N_REF, DEFAULT_N_SIMS, NullCache
+from .nulls import DEFAULT_N_REF, DEFAULT_N_SIMS, MIN_N_REF, MIN_N_SIMS, NullCache
 from .scoring import filter_labels
 from .synth import ShapeSpec, generate
 from .tuning import SearchGrid, _local_scale_with_dim, default_grid, grid_search
@@ -76,6 +76,12 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, field.name, flag)
         elif field.name in file_values:
             setattr(cfg, field.name, file_values[field.name])
+    if not 0.0 < cfg.subsample <= 1.0:
+        raise InputError("--subsample must be in (0, 1]")
+    if cfg.null_sims < MIN_N_SIMS:
+        raise InputError(f"--null-sims must be >= {MIN_N_SIMS}")
+    if cfg.null_nref < MIN_N_REF:
+        raise InputError(f"--null-nref must be >= {MIN_N_REF}")
     return cfg
 
 
@@ -83,11 +89,24 @@ def _null_cache(cfg: RunConfig) -> NullCache:
     return NullCache(cfg.null_dir, seed=cfg.seed, n_ref=cfg.null_nref, n_sims=cfg.null_sims)
 
 
-def _hyperparams(cfg: RunConfig) -> Hyperparams:
+def _kernel(cfg: RunConfig) -> PowerSeriesKernel:
+    try:
+        return PowerSeriesKernel(param=cfg.alpha)
+    except ValueError as exc:
+        raise InputError(f"--alpha: {exc}")
+
+
+def _hyperparams(cfg: RunConfig, n: int) -> Hyperparams:
+    """The run's hyperparameters for a cloud of n points."""
     if (cfg.radius is None) == (cfg.knn is None):
         raise InputError("specify exactly one of --radius or --knn")
-    hood = Radius(cfg.radius) if cfg.radius is not None else Knn(cfg.knn)
-    return Hyperparams(hood, cfg.eta, PowerSeriesKernel(param=cfg.alpha))
+    if cfg.knn is not None and not 1 <= cfg.knn < n:
+        raise InputError(f"--knn must be in [1, {n - 1}] for {n} points")
+    try:
+        hood = Radius(cfg.radius) if cfg.radius is not None else Knn(cfg.knn)
+        return Hyperparams(hood, cfg.eta, _kernel(cfg))
+    except ValueError as exc:
+        raise InputError(f"invalid hyperparameters: {exc}")
 
 
 def _labels_for(p: np.ndarray) -> np.ndarray:
@@ -101,10 +120,10 @@ def cmd_detect(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     if cfg.input is None or cfg.output is None:
         raise InputError("detect needs --input and --output")
-    params = _hyperparams(cfg)
     cloud = read_point_cloud_csv(cfg.input)
     scores = score_columns(
-        cloud, params, _null_cache(cfg), subsample_fraction=cfg.subsample, seed=cfg.seed
+        cloud, _hyperparams(cfg, len(cloud)), _null_cache(cfg),
+        subsample_fraction=cfg.subsample, seed=cfg.seed,
     )
     write_scores_csv(cfg.output, scores, _labels_for(scores.p_value))
     return 0
@@ -124,12 +143,21 @@ def _parse_grid(raw, r_range, volume_dim: float) -> SearchGrid:
             raise InputError(f"--grid is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise InputError("--grid must be a JSON object")
-    return SearchGrid(
-        radii=tuple(raw.get("radii", base.radii)),
-        etas=tuple(raw.get("etas", base.etas)),
-        alphas=tuple(raw.get("alphas", base.alphas)),
-        bounds=tuple(raw.get("bounds", base.bounds)),
-    )
+    try:
+        grid = SearchGrid(
+            radii=tuple(raw.get("radii", base.radii)),
+            etas=tuple(raw.get("etas", base.etas)),
+            alphas=tuple(raw.get("alphas", base.alphas)),
+            bounds=tuple(raw.get("bounds", base.bounds)),
+        )
+        # Every configuration the search will build must be valid.
+        for eta in grid.etas:
+            Hyperparams(Radius(grid.radii[0]), eta)
+        for alpha in grid.alphas:
+            PowerSeriesKernel(param=alpha)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"invalid --grid: {exc}")
+    return grid
 
 
 def cmd_auto(args: argparse.Namespace) -> int:
@@ -145,10 +173,7 @@ def cmd_auto(args: argparse.Namespace) -> int:
         cloud, grid, nulls, volume_dim=volume_dim,
         subsample_fraction=cfg.subsample, seed=cfg.seed,
     )
-    scores = score_columns(
-        cloud, search.best, nulls, subsample_fraction=cfg.subsample, seed=cfg.seed
-    )
-    write_scores_csv(cfg.output, scores, _labels_for(scores.p_value))
+    write_scores_csv(cfg.output, search.scores, _labels_for(search.scores.p_value))
     report_lines = ["r,eta,alpha,dispersion,n_singular,warn_degenerate"]
     for row in search.report:
         report_lines.append(
@@ -161,6 +186,7 @@ def cmd_auto(args: argparse.Namespace) -> int:
 
 def cmd_mh_test(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
+    nulls = _null_cache(cfg)
     if args.scores is not None:
         p = read_scores_csv(args.scores)["p_value"]
     else:
@@ -168,11 +194,10 @@ def cmd_mh_test(args: argparse.Namespace) -> int:
             raise InputError("mh-test needs --scores or --input")
         cloud = read_point_cloud_csv(cfg.input)
         p = score_columns(
-            cloud, _hyperparams(cfg), _null_cache(cfg),
+            cloud, _hyperparams(cfg, len(cloud)), nulls,
             subsample_fraction=cfg.subsample, seed=cfg.seed,
         ).p_value
-    kernel = PowerSeriesKernel(param=cfg.alpha)
-    report = mh_report(p, kernel, _null_cache(cfg))
+    report = mh_report(p, _kernel(cfg), nulls)
     payload = {
         "supc": report.supc,
         "ks_stat": report.ks_stat,

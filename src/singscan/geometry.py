@@ -76,9 +76,6 @@ class NeighborIndex:
         self._tree = None if self._brute else cKDTree(coords)
         self._sq_norms = np.einsum("ij,ij->i", coords, coords) if self._brute else None
 
-    def _dist_row(self, i: int) -> np.ndarray:
-        return self._dist_rows(np.array([i]))[0]
-
     def _dist_rows(self, rows: np.ndarray) -> np.ndarray:
         """Distances from each point of ``rows`` to every point, (len(rows), n)."""
         block = self.coords[rows] @ self.coords.T
@@ -90,41 +87,14 @@ class NeighborIndex:
 
     def radius_members(self, i: int, r: float) -> np.ndarray:
         """Indices j != i with ||x_j - x_i|| < r (strict), ascending."""
-        if self._brute:
-            row = self._dist_row(i)
-            members = np.flatnonzero(row < r)
-        else:
-            cand = np.asarray(self._tree.query_ball_point(self.coords[i], r), dtype=int)
-            if cand.size:
-                dist = np.linalg.norm(self.coords[cand] - self.coords[i], axis=1)
-                members = np.sort(cand[dist < r])
-            else:
-                members = cand
-        return members[members != i]
+        ((_, _, members),) = self.radius_members_batch([i], r)
+        return members
 
     def knn_members(self, i: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         """k nearest neighbors of point i: (indices, distances), sorted by
         (distance, index) so equal distances resolve to the lower index."""
-        if not 1 <= k <= self.n - 1:
-            raise ValueError("k must satisfy 1 <= k <= n - 1")
-        if self._brute:
-            row = self._dist_row(i)
-            row[i] = np.inf
-            cut = np.partition(row, k - 1)[k - 1]
-            cand = np.flatnonzero(row <= cut)
-        else:
-            dist, _ = self._tree.query(self.coords[i], k=k + 1)
-            cut = float(np.max(dist))
-            cand = np.asarray(
-                self._tree.query_ball_point(self.coords[i], cut * (1 + 1e-12)),
-                dtype=int,
-            )
-            cand = cand[cand != i]
-            row = np.full(self.n, np.inf)
-            row[cand] = np.linalg.norm(self.coords[cand] - self.coords[i], axis=1)
-        order = np.lexsort((cand, row[cand]))
-        chosen = cand[order[:k]]
-        return chosen, row[chosen]
+        ((_, members, dists),) = self.knn_members_batch([i], k)
+        return members[0], dists[0]
 
     def _chunks(self, queries: np.ndarray, members):
         """Consecutive slices of ``queries`` whose neighbor gathering stays
@@ -168,8 +138,9 @@ class NeighborIndex:
         return owner, cand, rows[owner, cand]
 
     def radius_members_batch(self, queries, r: float):
-        """``radius_members`` of every query point, in chunks: yields
-        (chunk of queries, member counts, members flattened in query order)."""
+        """Members j != q with ||x_j - x_q|| < r (strict) of every query point
+        q, in chunks: yields (chunk of queries, member counts, members
+        flattened in query order, each query's ascending)."""
         queries = np.asarray(queries, dtype=np.intp)
         counted = None
         if not self._brute:
@@ -187,8 +158,9 @@ class NeighborIndex:
             yield chunk, np.bincount(owner, minlength=len(chunk)), members
 
     def knn_members_batch(self, queries, k: int):
-        """``knn_members`` of every query point, in chunks: yields (chunk of
-        queries, (c, k) members, (c, k) distances), with the same tie rule."""
+        """k nearest neighbors of every query point, in chunks: yields (chunk
+        of queries, (c, k) members, (c, k) distances), each row sorted by
+        (distance, index) so equal distances resolve to the lower index."""
         if not 1 <= k <= self.n - 1:
             raise ValueError("k must satisfy 1 <= k <= n - 1")
         queries = np.asarray(queries, dtype=np.intp)

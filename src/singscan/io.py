@@ -184,17 +184,12 @@ def dct_reduce(rows: np.ndarray, keep: int) -> np.ndarray:
         )
     if keep < 1 or keep > side:
         raise InputError(f"keep must be in [1, {side}]")
-    out = np.empty((rows.shape[0], keep * keep))
-    for i, row in enumerate(rows):
-        coeffs = dctn(row.reshape(side, side), type=2, norm="ortho")
-        out[i] = coeffs[:keep, :keep].ravel()
-    return out
+    coeffs = dctn(rows.reshape(-1, side, side), type=2, norm="ortho", axes=(1, 2))
+    return coeffs[:, :keep, :keep].reshape(len(rows), keep * keep)
 
 
 def dct_restore(coeffs_rows: np.ndarray, side: int) -> np.ndarray:
     """Inverse of dct_reduce when keep == side (full coefficient block)."""
     coeffs_rows = np.atleast_2d(np.asarray(coeffs_rows, dtype=float))
-    out = np.empty((coeffs_rows.shape[0], side * side))
-    for i, row in enumerate(coeffs_rows):
-        out[i] = idctn(row.reshape(side, side), type=2, norm="ortho").ravel()
-    return out
+    images = idctn(coeffs_rows.reshape(-1, side, side), type=2, norm="ortho", axes=(1, 2))
+    return images.reshape(len(coeffs_rows), side * side)

@@ -113,23 +113,6 @@ def _disk_series(kernel: PowerSeriesKernel, d: int) -> tuple[np.ndarray, float]:
     return coeffs, float(np.sum(coeffs * d / (d + 2.0 * ks)))
 
 
-def kernel_eval(inner_product, kernel: PowerSeriesKernel):
-    """Evaluate kappa at an inner product (or array of them) via the closed form.
-
-    Inputs must be finite and within [-1, 1] up to a 1e-9 slack; values inside
-    the slack are clamped onto [-1, 1].
-    """
-    t = np.asarray(inner_product, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("inner product must be finite")
-    if np.any(np.abs(t) > 1.0 + 1e-9):
-        raise ValueError("inner product outside [-1, 1]")
-    out = kernel.closed_form(np.clip(t, -1.0, 1.0))
-    if np.isscalar(inner_product) or np.ndim(inner_product) == 0:
-        return float(out)
-    return out
-
-
 def mmd_sq_stack(stack: np.ndarray, kernel: PowerSeriesKernel, weights=None) -> np.ndarray:
     """Squared MMD of each (n, d) sample of an (m, n, d) stack against the
     uniform d-disk: ``mmd_sq_vs_uniform_disk`` of every sample at once;

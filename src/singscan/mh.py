@@ -87,14 +87,14 @@ def mh_report(
     p_values,
     kernel: PowerSeriesKernel | None = None,
     nulls: NullCache | None = None,
-    thresholds=SUPC_THRESHOLDS,
 ) -> MhReport:
-    """Run all three tests on the non-missing entries of ``p_values``."""
+    """Run all three tests, SUPC at SUPC_THRESHOLDS, on the non-missing
+    entries of ``p_values``."""
     p = np.asarray(p_values, dtype=float)
     p = p[np.isfinite(p)]
     if p.size == 0:
         raise ValueError("no usable p-values")
-    supc_val = supc(p, thresholds)
+    supc_val = supc(p)
     ks_stat, ks_p = ks_uniform(p)
     upup_stat = upup_p = None
     if p.size >= UPUP_MIN_VALUES and kernel is not None and nulls is not None:

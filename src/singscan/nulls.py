@@ -24,6 +24,8 @@ P_FLOOR = 1e-300
 
 DEFAULT_N_REF = 500
 DEFAULT_N_SIMS = 1000
+MIN_N_REF = 50
+MIN_N_SIMS = 200
 
 _MAGIC = b"SSNULL01"
 _HEADER = struct.Struct("<8sIIdIIQ")
@@ -79,10 +81,10 @@ def build_null(
     seed: int = 0,
 ) -> NullTable:
     """Simulate n_sims independent values of n_ref * MMD^2 under the null."""
-    if n_ref < 50:
-        raise ValueError("n_ref must be >= 50")
-    if n_sims < 200:
-        raise ValueError("n_sims must be >= 200")
+    if n_ref < MIN_N_REF:
+        raise ValueError(f"n_ref must be >= {MIN_N_REF}")
+    if n_sims < MIN_N_SIMS:
+        raise ValueError(f"n_sims must be >= {MIN_N_SIMS}")
     stats = np.empty(n_sims)
     for i, child in enumerate(rng.spawn(n_sims)):
         pts = sample_uniform_ball(d, n_ref, child)
@@ -222,15 +224,3 @@ class NullCache:
                 table = self._build(d, kernel)
             self._tables[key] = table
             return table
-
-
-def null_cache_get(
-    store: str | Path,
-    d: int,
-    kernel: PowerSeriesKernel,
-    n_ref: int = DEFAULT_N_REF,
-    n_sims: int = DEFAULT_N_SIMS,
-    seed: int = 0,
-) -> NullTable:
-    """One-shot cache access; see NullCache for reuse across many lookups."""
-    return NullCache(store, seed=seed, n_ref=n_ref, n_sims=n_sims).get(d, kernel)

@@ -77,9 +77,10 @@ def log_inv_p(p_values) -> np.ndarray:
     return out
 
 
-def kde_density(values, grid_size: int = KDE_GRID_SIZE) -> tuple[np.ndarray, np.ndarray]:
+def kde_density(values) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian KDE with Silverman bandwidth 1.06 * std * n^(-1/5), evaluated
-    on a uniform grid spanning [min, max] padded by one bandwidth."""
+    on a uniform grid of KDE_GRID_SIZE points spanning [min, max] padded by
+    one bandwidth."""
     v = np.asarray(values, dtype=float)
     v = v[np.isfinite(v)]
     if v.size < 2:
@@ -88,8 +89,8 @@ def kde_density(values, grid_size: int = KDE_GRID_SIZE) -> tuple[np.ndarray, np.
     if sd == 0.0:
         raise ValueError("degenerate values: zero variance")
     bw = 1.06 * sd * v.size ** (-0.2)
-    grid = np.linspace(v.min() - bw, v.max() + bw, grid_size)
-    density = np.zeros(grid_size)
+    grid = np.linspace(v.min() - bw, v.max() + bw, KDE_GRID_SIZE)
+    density = np.zeros(KDE_GRID_SIZE)
     for start in range(0, v.size, _KDE_CHUNK):
         z = (grid[:, None] - v[None, start : start + _KDE_CHUNK]) / bw
         density += np.exp(-0.5 * z * z).sum(axis=1)
@@ -125,11 +126,7 @@ def knee_detect(xs, ys, sensitivity: float = KNEE_SENSITIVITY, shape: str = CONC
     return None
 
 
-def filter_labels(
-    p_values,
-    grid_size: int = KDE_GRID_SIZE,
-    sensitivity: float = KNEE_SENSITIVITY,
-) -> np.ndarray:
+def filter_labels(p_values) -> np.ndarray:
     """Binary labels from p-values: 1 exactly for points whose log(1/p) lies
     beyond the knee of the score-density's decreasing flank.
 
@@ -145,11 +142,11 @@ def filter_labels(
     v = scores[scored]
     if v.max() == v.min():
         return labels
-    grid, density = kde_density(v, grid_size)
+    grid, density = kde_density(v)
     mode = int(np.argmax(density))
     if grid.size - mode < 5:
         return labels
-    knee = knee_detect(grid[mode:], density[mode:], sensitivity, CONVEX_DEC)
+    knee = knee_detect(grid[mode:], density[mode:], shape=CONVEX_DEC)
     if knee is None:
         return labels
     labels[scored] = scores[scored] > knee
@@ -217,18 +214,12 @@ def separation(points, labels, neighbor_sets) -> np.ndarray:
     return out
 
 
-def dispersion(
-    points,
-    labels,
-    neighbor_sets,
-    alpha_reg: float,
-    damp_global: DampingFunction = DAMP_GLOBAL,
-    damp_local: DampingFunction = DAMP_LOCAL,
-) -> DispersionReport:
+def dispersion(points, labels, neighbor_sets, alpha_reg: float) -> DispersionReport:
     """Damped aggregate of global purity and per-singular-point quality.
 
     dispersion = alpha_reg * D1(P) + sum over label-1 points of D2(q_i) with
-    q_i = 1 - (s_i + p_i) / 2; an empty singular set scores exactly 0.
+    D1 = DAMP_GLOBAL, D2 = DAMP_LOCAL and q_i = 1 - (s_i + p_i) / 2; an empty
+    singular set scores exactly 0.
     """
     y = np.asarray(labels)
     n = y.shape[0]
@@ -238,11 +229,11 @@ def dispersion(
         empty = np.empty(0)
         return DispersionReport(
             y, global_purity, ones, empty, empty, empty,
-            alpha_reg * damp_global(global_purity),
+            alpha_reg * DAMP_GLOBAL(global_purity),
         )
     p_all = purity(y, neighbor_sets)
     p_ones = p_all[ones]
     s_ones = separation(points, y, neighbor_sets)
     q = 1.0 - 0.5 * (s_ones + p_ones)
-    total = alpha_reg * damp_global(global_purity) + float(damp_local(q).sum())
+    total = alpha_reg * DAMP_GLOBAL(global_purity) + float(DAMP_LOCAL(q).sum())
     return DispersionReport(y, global_purity, ones, p_ones, s_ones, q, total)

@@ -25,10 +25,12 @@ from .scoring import (
     knee_detect,
     knn_neighbor_sets,
 )
-from .uniformity import Hyperparams, Radius, score_columns
+from .uniformity import Hyperparams, Radius, Scores, score_columns
 
 DEFAULT_ETAS = (0.7, 0.8, 0.9)
 DEFAULT_ALPHAS = (0.3, 0.5, 0.7)
+DEFAULT_N_RADII = 4
+LOCAL_SCALE_PROBES = 50
 _LADDER_BASE = 10
 _LADDER_MAX = 1000
 
@@ -67,8 +69,11 @@ class GridRow:
 
 @dataclass
 class GridSearchResult:
+    """The dispersion minimizer, its row and scores, and every row."""
+
     best: Hyperparams
     best_row: GridRow
+    scores: Scores
     report: list[GridRow] = field(default_factory=list)
 
 
@@ -110,7 +115,7 @@ def _scale_ladder(n: int) -> list[int]:
 
 
 def local_scale(
-    cloud, n_probes: int = 50, rng: np.random.Generator | None = None
+    cloud, rng: np.random.Generator | None = None
 ) -> tuple[float, tuple[float, float]]:
     """Detect the local scale r_tilde and the radius search range
     [1.5 * r_tilde, 5 * r_tilde].
@@ -120,30 +125,25 @@ def local_scale(
     the dimension estimate stabilizes; without a knee the ladder midpoint is
     used.
     """
-    r_tilde, _ = _local_scale_with_dim(cloud, n_probes, rng)
+    r_tilde, _ = _local_scale_with_dim(cloud, rng)
     return r_tilde, (1.5 * r_tilde, 5.0 * r_tilde)
 
 
 def _local_scale_with_dim(
-    cloud, n_probes: int = 50, rng: np.random.Generator | None = None
+    cloud, rng: np.random.Generator | None = None
 ) -> tuple[float, float]:
     coords = as_point_cloud(cloud)
     n = coords.shape[0]
     if n < 50:
         raise ValueError("need at least 50 points for local scale detection")
     rng = rng if rng is not None else np.random.default_rng(0)
-    probes = np.sort(rng.choice(n, size=min(n_probes, n), replace=False))
+    probes = np.sort(rng.choice(n, size=min(LOCAL_SCALE_PROBES, n), replace=False))
     ladder = _scale_ladder(n)
     index = NeighborIndex(coords)
 
-    k_max = ladder[-1]
-    curves = np.empty((probes.size, len(ladder)))
-    kth_dist = np.empty((probes.size, len(ladder)))
-    for row, i in enumerate(probes):
-        _, dists = index.knn_members(int(i), k_max)
-        for col, k in enumerate(ladder):
-            curves[row, col] = _lb_from_distances(dists[:k])
-            kth_dist[row, col] = dists[k - 1]
+    dists = np.vstack([d for _, _, d in index.knn_members_batch(probes, ladder[-1])])
+    curves = np.array([[_lb_from_distances(row[:k]) for k in ladder] for row in dists])
+    kth_dist = dists[:, np.array(ladder) - 1]
     avg = curves.mean(axis=0)
 
     # Noise inflates the estimates at the smallest scales; the running minimum
@@ -165,11 +165,12 @@ def _local_scale_with_dim(
     return r_tilde, float(avg[knee_col])
 
 
-def default_grid(r_range: tuple[float, float], dim: float, n_radii: int = 4) -> SearchGrid:
-    """Radii spaced geometrically in the volume coordinate r^dim over the range."""
+def default_grid(r_range: tuple[float, float], dim: float) -> SearchGrid:
+    """DEFAULT_N_RADII radii spaced geometrically in the volume coordinate
+    r^dim over the range."""
     lo, hi = r_range
     d = max(float(dim), 1.0)
-    volumes = np.geomspace(lo**d, hi**d, n_radii)
+    volumes = np.geomspace(lo**d, hi**d, DEFAULT_N_RADII)
     radii = [float(v ** (1.0 / d)) for v in volumes]
     # (lo^d)^(1/d) can round below lo, which the bounds would then reject.
     radii[0], radii[-1] = float(lo), float(hi)
@@ -196,8 +197,6 @@ def grid_search(
     cloud,
     grid: SearchGrid,
     nulls: NullCache,
-    k_disp: int = DISPERSION_NEIGHBORS,
-    alpha_reg: float | None = None,
     volume_dim: float | None = None,
     subsample_fraction: float = 1.0,
     seed: int = 0,
@@ -207,35 +206,42 @@ def grid_search(
     boundary and the hard bounds allow.
 
     Ties break toward smaller r, then eta, then alpha.  A winning labeling
-    with no singular points is legal but flagged ``warn_degenerate``.
+    with no singular points is legal but flagged ``warn_degenerate``.  The
+    dispersion uses DISPERSION_NEIGHBORS neighbor sets and regularization
+    n / 4.  Only the running best configuration's scores are kept.
     """
     coords = as_point_cloud(cloud)
     n = coords.shape[0]
-    if alpha_reg is None:
-        alpha_reg = n / 4.0
     if volume_dim is None:
         _, volume_dim = _local_scale_with_dim(coords, rng=np.random.default_rng(seed))
-    neighbor_sets = knn_neighbor_sets(coords, min(k_disp, n))
+    neighbor_sets = knn_neighbor_sets(coords, min(DISPERSION_NEIGHBORS, n))
+
+    def rank(row: GridRow):
+        return (row.dispersion, row.r, row.eta, row.alpha)
 
     rows: dict[tuple[float, float, float], GridRow] = {}
+    best: GridRow | None = None
+    best_scores: Scores | None = None
 
-    def evaluate(r: float, eta: float, alpha: float) -> GridRow:
+    def evaluate(r: float, eta: float, alpha: float) -> None:
+        nonlocal best, best_scores
         key = (r, eta, alpha)
         if key in rows:
-            return rows[key]
+            return
         params = Hyperparams(Radius(r), eta, PowerSeriesKernel(param=alpha))
         try:
-            p = score_columns(
+            scores = score_columns(
                 coords, params, nulls, subsample_fraction=subsample_fraction, seed=seed
-            ).p_value
-            labels = filter_labels(p)
-            rep = dispersion(coords, labels, neighbor_sets, alpha_reg)
+            )
+            labels = filter_labels(scores.p_value)
+            rep = dispersion(coords, labels, neighbor_sets, n / 4.0)
             n_sing = int(labels.sum())
             row = GridRow(r, eta, alpha, rep.dispersion, n_sing, n_sing == 0)
         except (ValueError, RuntimeError) as exc:
             row = GridRow(r, eta, alpha, math.inf, 0, True, error=str(exc))
         rows[key] = row
-        return row
+        if row.error is None and (best is None or rank(row) < rank(best)):
+            best, best_scores = row, scores
 
     radii = sorted(grid.radii)
     while True:
@@ -243,14 +249,12 @@ def grid_search(
             for eta in grid.etas:
                 for alpha in grid.alphas:
                     evaluate(r, eta, alpha)
-        ok = [row for row in rows.values() if row.error is None]
-        if not ok:
+        if best is None:
             failures = "; ".join(
                 f"(r={row.r:g}, eta={row.eta:g}, alpha={row.alpha:g}): {row.error}"
                 for row in rows.values()
             )
             raise RuntimeError(f"all configurations degenerate: {failures}")
-        best = min(ok, key=lambda row: (row.dispersion, row.r, row.eta, row.alpha))
         if best.r < max(radii) or max(radii) >= grid.bounds[1]:
             break
         extra = _expand_radii(radii, grid.bounds, volume_dim)
@@ -260,4 +264,4 @@ def grid_search(
 
     params = Hyperparams(Radius(best.r), best.eta, PowerSeriesKernel(param=best.alpha))
     report = sorted(rows.values(), key=lambda row: (row.r, row.eta, row.alpha))
-    return GridSearchResult(params, best, report)
+    return GridSearchResult(params, best, best_scores, report)

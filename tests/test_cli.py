@@ -256,6 +256,49 @@ def test_auto_all_degenerate_grid_is_internal_failure(tmp_path, disk_csv, null_c
     assert "degenerate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("detect", ["--radius", "-1"]),
+    ("detect", ["--radius", "0.4", "--eta", "1.5"]),
+    ("detect", ["--radius", "0.4", "--alpha", "1.5"]),
+    ("detect", ["--knn", "400"]),
+    ("detect", ["--knn", "0"]),
+    ("detect", ["--radius", "0.4", "--subsample", "0"]),
+    ("detect", ["--radius", "0.4", "--subsample", "1.5"]),
+    ("detect", ["--radius", "0.4", "--null-sims", "199"]),
+    ("detect", ["--radius", "0.4", "--null-nref", "49"]),
+    ("auto", ["--grid", '{"radii": [100.0]}']),
+    ("auto", ["--grid", '{"etas": []}']),
+    ("auto", ["--grid", '{"etas": [1.5]}']),
+    ("auto", ["--grid", '{"alphas": [0.0]}']),
+])
+def test_out_of_range_flag_is_exit_2(tmp_path, disk_csv, capsys, command, extra):
+    # disk_csv has 400 points.
+    code = main([command, "--input", str(disk_csv), "--output", str(tmp_path / "o.csv"),
+                 "--seed", "0", "--null-dir", str(tmp_path / "nulls"), *extra])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "nulls").exists()
+
+
+def test_auto_writes_the_winning_configuration_scores(tmp_path, null_cache):
+    lab = generate(ShapeSpec("two_circles", 1000, noise_amplitude=0.01, seed=5))
+    cloud = tmp_path / "cloud.csv"
+    _write_cloud(cloud, lab.cloud)
+    common = ["--input", str(cloud), "--subsample", "0.25", "--seed", "0",
+              "--null-dir", str(null_cache.directory)]
+    grid = json.dumps({"radii": [0.15, 0.3], "etas": [0.8, 0.9], "alphas": [0.5, 0.7],
+                       "bounds": [0.15, 0.3]})
+    auto_out = tmp_path / "auto.csv"
+    assert main(["auto", "--output", str(auto_out), "--grid", grid, *common]) == 0
+    with open(tmp_path / "auto.report.csv") as fh:
+        rows = [line.split(",") for line in fh.read().split()[1:]]
+    best = min(rows, key=lambda row: (float(row[3]), float(row[0]), float(row[1]), float(row[2])))
+    detect_out = tmp_path / "detect.csv"
+    assert main(["detect", "--output", str(detect_out), "--radius", best[0],
+                 "--eta", best[1], "--alpha", best[2], *common]) == 0
+    assert auto_out.read_bytes() == detect_out.read_bytes()
+
+
 def test_auto_on_rotated_translated_demo_cloud(tmp_path, null_cache):
     # On this rigid motion of the demo cloud the lowest grid radius used to
     # round one ulp below the search range, and auto exited 1.

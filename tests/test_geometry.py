@@ -86,6 +86,52 @@ def test_brute_and_tree_backends_agree():
         assert da == pytest.approx(db)
 
 
+def _grid_cloud(side):
+    return np.array([[a, b] for a in range(side) for b in range(side)], dtype=float)
+
+
+# (cloud, radii, k values).  Integer coordinates make every distance exact on
+# both backends, so ties and zero distances are exact too.
+_ORACLE_CASES = {
+    "random": (np.random.default_rng(4).standard_normal((150, 3)), (0.3, 0.8), (1, 7, 149)),
+    "integer_grid": (_grid_cloud(9), (1.0, 1.5, 2.0), (4, 6, 12)),
+    "duplicates": (np.vstack([_grid_cloud(5)] * 3), (0.5, 1.5), (2, 3, 5)),
+}
+
+
+@pytest.mark.parametrize("brute", [False, True], ids=["kdtree", "brute"])
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_batch_queries_match_numpy_oracle(case, brute, monkeypatch):
+    # A small block budget cuts the queries into many chunks.
+    monkeypatch.setattr("singscan.geometry.BLOCK_BYTES", 4096)
+    cloud, radii, ks = _ORACLE_CASES[case]
+    n = len(cloud)
+    coords = np.hstack([cloud, np.zeros((n, 23))]) if brute else cloud
+    index = NeighborIndex(coords)
+    assert index._brute == brute
+    dist = np.linalg.norm(cloud[:, None] - cloud[None], axis=2)
+    np.fill_diagonal(dist, np.inf)
+    queries = np.random.default_rng(5).permutation(n)
+    for r in radii:
+        parts = list(index.radius_members_batch(queries, r))
+        assert np.array_equal(np.concatenate([c for c, _, _ in parts]), queries)
+        got = np.split(
+            np.concatenate([m for _, _, m in parts]),
+            np.cumsum(np.concatenate([k for _, k, _ in parts]))[:-1],
+        )
+        for q, members in zip(queries, got):
+            assert np.array_equal(members, np.flatnonzero(dist[q] < r))
+    for k in ks:
+        parts = list(index.knn_members_batch(queries, k))
+        assert np.array_equal(np.concatenate([c for c, _, _ in parts]), queries)
+        members = np.vstack([m for _, m, _ in parts])
+        dists = np.vstack([d for _, _, d in parts])
+        for q, got_m, got_d in zip(queries, members, dists):
+            order = np.lexsort((np.arange(n), dist[q]))[:k]
+            assert np.array_equal(got_m, order)
+            assert got_d == pytest.approx(dist[q, order], rel=1e-12, abs=1e-12)
+
+
 def test_second_moment_examples():
     pts = np.array([[1.0, 0.0], [-1.0, 0.0]])
     assert second_moment(pts) == pytest.approx(np.diag([1.0, 0.0]))

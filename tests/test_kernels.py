@@ -9,7 +9,6 @@ from singscan import (
     PowerSeriesKernel,
     beta_coeff,
     expected_mmd_sq,
-    kernel_eval,
     mmd_sq_vs_uniform_disk,
     sample_uniform_ball,
 )
@@ -44,24 +43,15 @@ def test_beta_rejects_bad_domain():
         beta_coeff(2, -1)
 
 
-def test_kernel_eval_geometric_closed_forms():
-    assert kernel_eval(0.0, GEOM_HALF) == pytest.approx(1.0)
-    assert kernel_eval(1.0, GEOM_HALF) == pytest.approx(2.0)
-    assert kernel_eval(-1.0, GEOM_HALF) == pytest.approx(2.0 / 3.0)
+def test_closed_form_geometric():
+    assert GEOM_HALF.closed_form(0.0) == pytest.approx(1.0)
+    assert GEOM_HALF.closed_form(1.0) == pytest.approx(2.0)
+    assert GEOM_HALF.closed_form(-1.0) == pytest.approx(2.0 / 3.0)
 
 
-def test_kernel_eval_expdot():
+def test_closed_form_expdot():
     kern = PowerSeriesKernel("expdot", 1.5)
-    assert kernel_eval(0.4, kern) == pytest.approx(math.exp(0.6))
-
-
-def test_kernel_eval_rejects_bad_input():
-    with pytest.raises(ValueError):
-        kernel_eval(float("nan"), GEOM_HALF)
-    with pytest.raises(ValueError):
-        kernel_eval(1.5, GEOM_HALF)
-    # within the clamp slack
-    assert kernel_eval(1.0 + 5e-10, GEOM_HALF) == pytest.approx(2.0)
+    assert kern.closed_form(0.4) == pytest.approx(math.exp(0.6))
 
 
 def test_kernel_validation():

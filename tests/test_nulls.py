@@ -16,7 +16,6 @@ from singscan import (
     build_null,
     expected_mmd_sq,
     mmd_sq_vs_uniform_disk,
-    null_cache_get,
     p_value,
     sample_uniform_ball,
 )
@@ -113,8 +112,8 @@ def test_degenerate_null_rejected():
 def test_cache_cold_then_warm(tmp_path):
     cache = NullCache(tmp_path, seed=0, n_ref=60, n_sims=200)
     t1 = cache.get(2, KERN)
-    files = list(tmp_path.glob("null_*.bin"))
-    assert len(files) == 1
+    assert t1.d == 2 and t1.n_sims == 200
+    assert list(tmp_path.glob("null_*.bin")) == [tmp_path / "null_d2_geometric0.5_60_200.bin"]
     fresh = NullCache(tmp_path, seed=0, n_ref=60, n_sims=200)
     t2 = fresh.get(2, KERN)
     assert np.array_equal(t1.stats, t2.stats)
@@ -158,12 +157,6 @@ def test_cache_rebuilds_on_seed_mismatch(tmp_path):
         seed=1,
     )
     assert np.array_equal(t_other.stats, direct.stats)
-
-
-def test_null_cache_get_one_shot(tmp_path):
-    t = null_cache_get(tmp_path, 1, KERN, n_ref=60, n_sims=200)
-    assert t.d == 1 and t.n_sims == 200
-    assert (tmp_path / f"null_d1_geometric0.5_60_200.bin").exists()
 
 
 def test_in_memory_cache_without_directory():
