@@ -74,6 +74,7 @@ from .uniformity import (
     Scores,
     UniformityResult,
     score_columns,
+    score_configurations,
     singularity_scores,
     uniformity_test,
 )
@@ -138,6 +139,7 @@ __all__ = [
     "sample_uniform_ball",
     "scaled_experiment_params",
     "score_columns",
+    "score_configurations",
     "second_moment",
     "separation",
     "singularity_scores",

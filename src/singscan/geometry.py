@@ -75,15 +75,36 @@ class NeighborIndex:
         self._brute = self.dim >= _BRUTE_DIM
         self._tree = None if self._brute else cKDTree(coords)
         self._sq_norms = np.einsum("ij,ij->i", coords, coords) if self._brute else None
+        self._tol = 4 * (self.dim + 8) * np.finfo(float).eps
 
-    def _dist_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Distances from each point of ``rows`` to every point, (len(rows), n)."""
+    def _sq_dist_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Squared distances by BLAS from each point of ``rows`` to every
+        point, (len(rows), n), and a bound on their rounding error per row.
+
+        The rounding of |x|^2 + |y|^2 - 2<x, y> depends on how many rows a
+        BLAS call gets, so these decide nothing that their bound leaves open,
+        and distances returned come from ``_pair_dist``.  The bound is
+        (dim + 8) * eps relative to |x|^2 + |y|^2, and then four times that.
+        """
         block = self.coords[rows] @ self.coords.T
         block *= -2.0
         block += self._sq_norms
         block += self._sq_norms[rows, None]
-        np.maximum(block, 0.0, out=block)
-        return np.sqrt(block, out=block)
+        slack = self._tol * (self._sq_norms[rows] + self._sq_norms.max())
+        return block, slack
+
+    def _pair_dist(self, centers: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        """||x_cand - x_center|| of each (center, candidate) pair, as the norm
+        of the difference: a pair's distance does not depend on the others.
+        Pairs go in blocks of BLOCK_BYTES / 64, small beside a chunk's
+        distance rows, which are alive meanwhile."""
+        out = np.empty(len(cand))
+        step = max(1, BLOCK_BYTES // (64 * self.dim))
+        for a in range(0, len(cand), step):
+            diff = self.coords[cand[a : a + step]]
+            diff -= self.coords[centers[a : a + step]]
+            out[a : a + step] = np.linalg.norm(diff, axis=1)
+        return out
 
     def radius_members(self, i: int, r: float) -> np.ndarray:
         """Indices j != i with ||x_j - x_i|| < r (strict), ascending."""
@@ -124,18 +145,38 @@ class NeighborIndex:
             itertools.chain.from_iterable(lists), dtype=np.intp, count=int(lengths.sum())
         )
         owner = np.repeat(np.arange(len(chunk)), lengths)
-        dist = np.linalg.norm(self.coords[cand] - self.coords[chunk[owner]], axis=1)
         keep = cand != chunk[owner]
-        return owner[keep], cand[keep], dist[keep]
+        owner, cand = owner[keep], cand[keep]
+        return owner, cand, self._pair_dist(chunk[owner], cand)
+
+    def _brute_inside(self, chunk: np.ndarray, r: float) -> np.ndarray:
+        """(c, n) mask of the points j != q with ||x_j - x_q|| < r for each
+        query q of a chunk.  A BLAS distance farther from r than its rounding
+        bound decides alone; the others are decided by ``_pair_dist``."""
+        sq, slack = self._sq_dist_rows(chunk)
+        sq[np.arange(len(chunk)), chunk] = np.inf
+        band = self._tol * r * r + slack[:, None]
+        inside = sq < r * r - band
+        owner, cand = np.nonzero(~inside & (sq <= r * r + band))
+        near = self._pair_dist(chunk[owner], cand) < r
+        inside[owner[near], cand[near]] = True
+        return inside
 
     def _brute_knn_candidates(self, chunk: np.ndarray, k: int):
-        """(query position, candidate index, distance) of every point no
-        farther than the k-th nearest neighbor of each query of a chunk."""
-        rows = self._dist_rows(chunk)
-        rows[np.arange(len(chunk)), chunk] = np.inf
-        cut = np.partition(rows, k - 1, axis=1)[:, k - 1]
-        owner, cand = np.nonzero(rows <= cut[:, None])
-        return owner, cand, rows[owner, cand]
+        """(query position, candidate index, distance) of every point j != q
+        that may be among the k nearest of each query q of a chunk, in query
+        order then ascending index.  BLAS distances widened by their rounding
+        bound choose the candidates; their distances are ``_pair_dist``'s."""
+        sq, slack = self._sq_dist_rows(chunk)
+        sq[np.arange(len(chunk)), chunk] = np.inf
+        # At least k points lie within the k-th BLAS distance, so the k-th
+        # true one is within it plus the bound, and each of the k nearest
+        # within that plus the bound again.  No name holds the partitioned
+        # copy, so it is freed before the pair distances are computed.
+        cut = np.partition(sq, k - 1, axis=1)[:, k - 1] + 2 * slack
+        limit = cut * (1 + 2 * self._tol)
+        owner, cand = np.nonzero(sq <= limit[:, None])
+        return owner, cand, self._pair_dist(chunk[owner], cand)
 
     def radius_members_batch(self, queries, r: float):
         """Members j != q with ||x_j - x_q|| < r (strict) of every query point
@@ -148,9 +189,7 @@ class NeighborIndex:
             counted = self._tree.query_ball_point(self.coords[queries], r, return_length=True)
         for chunk in self._chunks(queries, counted):
             if self._brute:
-                inside = self._dist_rows(chunk) < r
-                inside[np.arange(len(chunk)), chunk] = False
-                owner, members = np.nonzero(inside)
+                owner, members = np.nonzero(self._brute_inside(chunk, r))
             else:
                 owner, members, dist = self._tree_candidates(chunk, r)
                 inside = dist < r
@@ -240,24 +279,27 @@ def local_pca(points, eta: float) -> PcaResult:
     return PcaResult(eigenvalues, vt.T, estimate_dim(eigenvalues, eta))
 
 
-def local_pca_stack(stack: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """``local_pca`` of each (k, D) neighborhood of an (m, k, D) stack:
-    d_hat per neighborhood, and the leading max(d_hat) principal axes of each
-    as the rows of an (m, max(d_hat), D) array."""
+def local_pca_stack(stack: np.ndarray, etas) -> tuple[np.ndarray, np.ndarray]:
+    """``local_pca`` of each (k, D) neighborhood of an (m, k, D) stack under
+    each threshold of ``etas``: d_hat as an (len(etas), m) array, and the
+    leading principal axes of each neighborhood, as many as its largest
+    d_hat, as the rows of an (m, max(d_hat), D) array."""
     m, k, dim = stack.shape
     if dim < _BRUTE_DIM:
         _, s, vt = np.linalg.svd(stack, full_matrices=False)
-        d_hat = estimate_dim(s**2 / k, eta)
+        d_hat = np.array([estimate_dim(s**2 / k, eta) for eta in etas])
         return d_hat, vt[:, : d_hat.max()]
     # One at a time: with OpenBLAS on 2 CPUs, a stacked SVD of 60 x 100
     # neighborhoods measured 3.0 ms each against 1.35 ms in a loop.  Only the
-    # leading axes are kept, so memory stays that of the stack.
-    d_hat = np.empty(m, dtype=int)
+    # leading axes are kept, as many as the largest eta needs (d_hat grows
+    # with eta), so memory stays that of the stack.
+    spectra = np.empty((m, min(k, dim)))
     leading = []
     for j, pts in enumerate(stack):
         _, s, vt = np.linalg.svd(pts, full_matrices=False)
-        d_hat[j] = estimate_dim(s**2 / k, eta)
-        leading.append(vt[: d_hat[j]].copy())
+        spectra[j] = s**2 / k
+        leading.append(vt[: estimate_dim(spectra[j], max(etas))].copy())
+    d_hat = np.array([estimate_dim(spectra, eta) for eta in etas])
     axes = np.zeros((m, d_hat.max(), dim))
     for j, rows in enumerate(leading):
         axes[j, : len(rows)] = rows

@@ -119,8 +119,8 @@ def p_value(table: NullTable, k_obs, mmd_sq_obs):
     return float(p) if np.ndim(p) == 0 else p
 
 
-def _table_filename(d: int, kind: str, param: float, n_ref: int, n_sims: int) -> str:
-    return f"null_d{d}_{kind}{round(param, 6):g}_{n_ref}_{n_sims}.bin"
+def _table_filename(d: int, kind: str, param: float, n_ref: int, n_sims: int, seed: int) -> str:
+    return f"null_d{d}_{kind}{round(param, 6):g}_{n_ref}_{n_sims}_s{seed}.bin"
 
 
 def _write_table(path: Path, table: NullTable) -> None:
@@ -157,9 +157,10 @@ class NullCache:
 
     Tables are keyed by (d, kernel fingerprint, n_ref, n_sims); the build seed
     is derived from the configured seed and the key, so the table for a given
-    key is the same no matter in which order dimensions are encountered.  A
-    persisted table whose header does not match the key and seed (or that
-    fails to parse) is rebuilt and overwritten.
+    key is the same no matter in which order dimensions are encountered.  On
+    disk the file name holds the key and the seed, so caches of several seeds
+    share a directory.  A persisted table whose header does not match the key
+    and seed (or that fails to parse) is rebuilt and overwritten.
     """
 
     def __init__(
@@ -202,7 +203,7 @@ class NullCache:
                 return table
             if self.directory is not None:
                 self.directory.mkdir(parents=True, exist_ok=True)
-                path = self.directory / _table_filename(*key)
+                path = self.directory / _table_filename(*key, self.seed)
                 if path.exists():
                     try:
                         table = _read_table(path)

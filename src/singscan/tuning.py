@@ -4,7 +4,10 @@ The radius range is found by growing neighborhoods around probe points until
 the Levina-Bickel intrinsic-dimension estimate stabilizes (knee of the
 reversed dimension-vs-scale curve), then a grid over (radius, eta, alpha) is
 searched for the smallest dispersion, expanding the radius axis linearly in
-the estimated local volume whenever the winner sits on the boundary.
+the estimated local volume whenever the winner sits on the boundary.  The
+neighborhoods, their PCA and the MMD of each (kernel, point, d_hat) are
+computed once per radius and shared by all of its (eta, alpha)
+configurations.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .scoring import (
     knee_detect,
     knn_neighbor_sets,
 )
-from .uniformity import Hyperparams, Radius, Scores, score_columns
+from .uniformity import Hyperparams, Radius, Scores, score_configurations
 
 DEFAULT_ETAS = (0.7, 0.8, 0.9)
 DEFAULT_ALPHAS = (0.3, 0.5, 0.7)
@@ -49,6 +52,9 @@ class SearchGrid:
             raise ValueError("grid axes must be nonempty")
         if min(self.radii) <= 0:
             raise ValueError("radii must be positive")
+        # Every (eta, alpha) must make valid Hyperparams with a geometric kernel.
+        if not all(0.0 < v < 1.0 for v in (*self.etas, *self.alphas)):
+            raise ValueError("etas and alphas must lie in (0, 1)")
         lo, hi = self.bounds
         if not (lo <= min(self.radii) and max(self.radii) <= hi):
             raise ValueError("radii must lie within bounds")
@@ -69,11 +75,12 @@ class GridRow:
 
 @dataclass
 class GridSearchResult:
-    """The dispersion minimizer, its row and scores, and every row."""
+    """The dispersion minimizer, its row, scores and labels, and every row."""
 
     best: Hyperparams
     best_row: GridRow
     scores: Scores
+    labels: np.ndarray
     report: list[GridRow] = field(default_factory=list)
 
 
@@ -208,10 +215,14 @@ def grid_search(
     Ties break toward smaller r, then eta, then alpha.  A winning labeling
     with no singular points is legal but flagged ``warn_degenerate``.  The
     dispersion uses DISPERSION_NEIGHBORS neighbor sets and regularization
-    n / 4.  Only the running best configuration's scores are kept.
+    n / 4.  The configurations of one radius are scored together by
+    ``score_configurations``, which gathers the neighborhoods and takes
+    their PCA once for all of them.  Only the running best configuration's
+    scores and labels are kept.
     """
     coords = as_point_cloud(cloud)
     n = coords.shape[0]
+    kernels = tuple(PowerSeriesKernel(param=alpha) for alpha in grid.alphas)
     if volume_dim is None:
         _, volume_dim = _local_scale_with_dim(coords, rng=np.random.default_rng(seed))
     neighbor_sets = knn_neighbor_sets(coords, min(DISPERSION_NEIGHBORS, n))
@@ -222,33 +233,47 @@ def grid_search(
     rows: dict[tuple[float, float, float], GridRow] = {}
     best: GridRow | None = None
     best_scores: Scores | None = None
+    best_labels: np.ndarray | None = None
 
-    def evaluate(r: float, eta: float, alpha: float) -> None:
-        nonlocal best, best_scores
-        key = (r, eta, alpha)
-        if key in rows:
+    def evaluate(r: float, eta: float, alpha: float, scores_of) -> None:
+        nonlocal best, best_scores, best_labels
+        if (r, eta, alpha) in rows:
             return
-        params = Hyperparams(Radius(r), eta, PowerSeriesKernel(param=alpha))
         try:
-            scores = score_columns(
-                coords, params, nulls, subsample_fraction=subsample_fraction, seed=seed
-            )
+            scores = scores_of()
             labels = filter_labels(scores.p_value)
             rep = dispersion(coords, labels, neighbor_sets, n / 4.0)
             n_sing = int(labels.sum())
             row = GridRow(r, eta, alpha, rep.dispersion, n_sing, n_sing == 0)
         except (ValueError, RuntimeError) as exc:
             row = GridRow(r, eta, alpha, math.inf, 0, True, error=str(exc))
-        rows[key] = row
+        rows[(r, eta, alpha)] = row
         if row.error is None and (best is None or rank(row) < rank(best)):
-            best, best_scores = row, scores
+            best, best_scores, best_labels = row, scores, labels
 
-    radii = sorted(grid.radii)
-    while True:
-        for r in radii:
+    def evaluate_radius(r: float) -> None:
+        configs = score_configurations(
+            coords, Radius(r), grid.etas, kernels, nulls,
+            subsample_fraction=subsample_fraction, seed=seed,
+        )
+        try:
+            for eta, kernel, scores_of in configs:
+                evaluate(r, eta, kernel.param, scores_of)
+        except (ValueError, RuntimeError) as exc:
+            # The neighborhoods or the PCA of this radius failed, which fails
+            # every configuration of it alike.
             for eta in grid.etas:
                 for alpha in grid.alphas:
-                    evaluate(r, eta, alpha)
+                    rows.setdefault(
+                        (r, eta, alpha), GridRow(r, eta, alpha, math.inf, 0, True, error=str(exc))
+                    )
+
+    radii = sorted(grid.radii)
+    scored: set[float] = set()
+    while True:
+        for r in sorted(set(radii) - scored):
+            evaluate_radius(r)
+            scored.add(r)
         if best is None:
             failures = "; ".join(
                 f"(r={row.r:g}, eta={row.eta:g}, alpha={row.alpha:g}): {row.error}"
@@ -264,4 +289,4 @@ def grid_search(
 
     params = Hyperparams(Radius(best.r), best.eta, PowerSeriesKernel(param=best.alpha))
     report = sorted(rows.values(), key=lambda row: (row.r, row.eta, row.alpha))
-    return GridSearchResult(params, best, best_scores, report)
+    return GridSearchResult(params, best, best_scores, best_labels, report)

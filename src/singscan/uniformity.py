@@ -3,14 +3,18 @@
 A point is scored by comparing its rescaled, PCA-projected neighborhood
 against the uniform distribution on the unit disk of the estimated dimension.
 Neighborhoods with fewer than MIN_NEIGHBORHOOD members are reported with
-missing score fields instead of being tested.  ``score_columns`` scores all
-points at once in batches; ``uniformity_test`` scores one point and is the
-reference the batched path is tested against.
+missing score fields instead of being tested.  ``score_configurations``
+scores all points at once in batches, under several etas and kernels that
+share one neighborhood rule; ``score_columns`` is its one-configuration case;
+``uniformity_test`` scores one point and is the reference the batched path
+is tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,42 +139,24 @@ def _neighborhood_chunks(index: NeighborIndex, queries: np.ndarray, hood: Radius
             yield chunk, np.full(len(chunk), hood.k), members.ravel(), dists[:, -1]
 
 
-def _score_stack(stack: np.ndarray, params: Hyperparams) -> tuple[np.ndarray, np.ndarray]:
-    """d_hat and squared MMD of each neighborhood of an (m, k, D) stack."""
-    dims, axes = local_pca_stack(stack, params.eta)
-    # A contiguous operand keeps the stacked matmul on BLAS.
-    projected = stack @ axes.transpose(0, 2, 1).copy()
-    mmd = np.empty(len(stack))
-    for d in np.unique(dims):
-        sel = np.flatnonzero(dims == d)
-        mmd[sel] = mmd_sq_stack(projected[sel, :, :d], params.kernel)
-    return dims, mmd
-
-
-def score_columns(
-    cloud,
-    params: Hyperparams,
-    nulls: NullCache,
-    subsample_fraction: float = 1.0,
-    seed: int = 0,
-) -> Scores:
-    """Score every point, batched: the columns of ``singularity_scores``.
+def _mmd_columns(coords: np.ndarray, queries: np.ndarray, neighborhood: Radius | Knn, etas, kernels):
+    """k_obs of each query, its d_hat under each eta, (len(etas), m), its
+    squared MMD under each (kernel, eta), (len(kernels), len(etas), m), NaN
+    where the neighborhood was too small to test, and the exception of each
+    kernel (by position) whose MMD failed.
 
     Neighborhoods are gathered in chunks, grouped by size into stacks of at
-    most about BLOCK_BYTES, and each stack goes through one stacked PCA and
-    batched MMD; p-values are looked up per estimated dimension.
+    most about BLOCK_BYTES, and each stack goes through one stacked PCA.
     """
-    coords = as_point_cloud(cloud)
-    n, dim = coords.shape
-    queries = _query_points(n, subsample_fraction, seed)
-    index = NeighborIndex(coords)
-
+    dim = coords.shape[1]
     m = len(queries)
     k_obs = np.zeros(m, dtype=np.intp)
-    d_hat = np.full(m, np.nan)
-    mmd = np.full(m, np.nan)
+    d_hat = np.full((len(etas), m), np.nan)
+    mmd = np.full((len(kernels), len(etas), m), np.nan)
+    failed: dict[int, Exception] = {}
     done = 0
-    for chunk, counts, members, scales in _neighborhood_chunks(index, queries, params.neighborhood):
+    index = NeighborIndex(coords)
+    for chunk, counts, members, scales in _neighborhood_chunks(index, queries, neighborhood):
         k_obs[done : done + len(chunk)] = counts
         starts = np.cumsum(counts) - counts
         for k in np.unique(counts[counts >= MIN_NEIGHBORHOOD]):
@@ -183,22 +169,92 @@ def score_columns(
                 # A zero k-th neighbor distance means every member sits on
                 # the center; those neighborhoods rescale to zeros.
                 stack /= np.where(scales[sel] > 0, scales[sel], np.inf)[:, None, None]
-                d_hat[done + sel], mmd[done + sel] = _score_stack(stack, params)
+                dims, axes = local_pca_stack(stack, etas)
+                # A contiguous operand keeps the stacked matmul on BLAS.
+                projected = stack @ axes.transpose(0, 2, 1).copy()
+                d_hat[:, done + sel] = dims
+                for d in np.unique(dims):
+                    rows = np.flatnonzero((dims == d).any(axis=0))
+                    for j, kernel in enumerate(kernels):
+                        if j in failed:
+                            continue
+                        try:
+                            values = mmd_sq_stack(projected[rows, :, :d], kernel)
+                        except (ValueError, RuntimeError) as exc:
+                            failed[j] = exc
+                            continue
+                        for e in range(len(etas)):
+                            hit = dims[e, rows] == d
+                            mmd[j, e, done + sel[rows[hit]]] = values[hit]
         done += len(chunk)
+    return k_obs, d_hat, mmd, failed
 
-    p = np.full(m, np.nan)
+
+def score_configurations(
+    cloud,
+    neighborhood: Radius | Knn,
+    etas,
+    kernels,
+    nulls: NullCache,
+    subsample_fraction: float = 1.0,
+    seed: int = 0,
+) -> Iterator[tuple[float, PowerSeriesKernel, Callable[[], Scores]]]:
+    """Score every point under each (eta, kernel) of one neighborhood rule.
+
+    Neighborhoods and singular values do not depend on eta or the kernel, and
+    a point with the same d_hat under two etas has the same projection, so
+    the neighborhoods are gathered and decomposed once and the squared MMD
+    is computed once per (kernel, point, d_hat).
+
+    Yields (eta, kernel, scores) for each eta and, within it, each kernel in
+    the order given; ``scores()`` looks up that configuration's p-values
+    and returns its ``Scores``, or raises what made it fail.  A failure of
+    the neighborhoods or the PCA raises before the first yield; a kernel
+    whose MMD fails fails only its own configurations.
+    """
+    coords = as_point_cloud(cloud)
+    n = coords.shape[0]
+    queries = _query_points(n, subsample_fraction, seed)
+    # A function of its own, so that its working arrays are freed before the
+    # first yield.
+    k_obs, d_hat, mmd, failed = _mmd_columns(coords, queries, neighborhood, etas, kernels)
+
+    m = len(queries)
     tested = np.flatnonzero(k_obs >= MIN_NEIGHBORHOOD)
-    for d in np.unique(d_hat[tested]).astype(int):
-        sel = tested[d_hat[tested] == d]
-        p[sel] = p_value(nulls.get(int(d), params.kernel), k_obs[sel], mmd[sel])
-
-    columns = (k_obs, d_hat, mmd, p)
+    # Every unscored point takes the values of its nearest scored point.
+    nearest = np.arange(m)
     if m < n:
-        # Every unscored point takes the values of its nearest scored point.
         _, nearest = cKDTree(coords[queries]).query(coords)
         nearest[queries] = np.arange(m)
-        columns = tuple(col[nearest] for col in columns)
-    return Scores(*columns)
+
+    def scores(e: int, j: int) -> Scores:
+        if j in failed:
+            raise failed[j]
+        p = np.full(m, np.nan)
+        for d in np.unique(d_hat[e, tested]).astype(int):
+            sel = tested[d_hat[e, tested] == d]
+            p[sel] = p_value(nulls.get(int(d), kernels[j]), k_obs[sel], mmd[j, e, sel])
+        return Scores(*(col[nearest] for col in (k_obs, d_hat[e], mmd[j, e], p)))
+
+    for e, eta in enumerate(etas):
+        for j, kernel in enumerate(kernels):
+            yield eta, kernel, functools.partial(scores, e, j)
+
+
+def score_columns(
+    cloud,
+    params: Hyperparams,
+    nulls: NullCache,
+    subsample_fraction: float = 1.0,
+    seed: int = 0,
+) -> Scores:
+    """Score every point, batched: the columns of ``singularity_scores``,
+    and the one-configuration case of ``score_configurations``."""
+    ((_, _, scores),) = score_configurations(
+        cloud, params.neighborhood, (params.eta,), (params.kernel,), nulls,
+        subsample_fraction, seed,
+    )
+    return scores()
 
 
 def singularity_scores(

@@ -232,3 +232,68 @@ def test_neighbor_queries_permutation_equivariant():
     hood = neighbors_radius(cloud, 3, 0.9)
     hood_s = neighbors_radius(shuffled, int(where[3]), 0.9)
     assert sorted(where[hood.member_indices]) == sorted(hood_s.member_indices)
+
+
+def _all_queries(index, queries, r, k):
+    radius = [
+        (chunk.tolist(), counts.tolist(), members.tolist())
+        for chunk, counts, members in index.radius_members_batch(queries, r)
+    ]
+    knn = [
+        (chunk.tolist(), members.tolist(), dists.tolist())
+        for chunk, members, dists in index.knn_members_batch(queries, k)
+    ]
+    flat_radius = [sum((part[i] for part in radius), []) for i in range(3)]
+    flat_knn = [sum((part[i] for part in knn), []) for i in range(3)]
+    return flat_radius, flat_knn
+
+
+def test_brute_queries_do_not_depend_on_chunking(monkeypatch):
+    # From 20 ambient dimensions up the distance rows come from BLAS, whose
+    # rounding depends on how many rows one call gets; members and distances
+    # must not.
+    rng = np.random.default_rng(6)
+    cloud = rng.standard_normal((400, 30))
+    cloud[200:260] = cloud[:60]  # exact ties
+    index = NeighborIndex(cloud)
+    assert index._brute
+    queries = np.arange(0, 400, 3)
+    r = float(np.median(np.linalg.norm(cloud[:50] - cloud[50:100], axis=1)))
+    default = _all_queries(index, queries, r, 15)
+    monkeypatch.setattr("singscan.geometry.BLOCK_BYTES", 4096)
+    assert _all_queries(index, queries, r, 15) == default
+    radius, knn = default
+    starts = np.cumsum(radius[1]) - radius[1]
+    for pos, q in enumerate(queries[:20]):
+        members = index.radius_members(int(q), r)
+        assert members.tolist() == radius[2][starts[pos] : starts[pos] + radius[1][pos]]
+        got_m, got_d = index.knn_members(int(q), 15)
+        assert got_m.tolist() == knn[1][pos] and got_d.tolist() == knn[2][pos]
+
+
+def test_brute_queries_decide_near_ties_by_difference_norms():
+    # Points within 1e-15 relative of the radius, far from the origin: the
+    # BLAS distance rows cannot tell these apart, the difference norms can.
+    rng = np.random.default_rng(9)
+    dirs = rng.standard_normal((300, 30))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    center = 100.0 * rng.standard_normal(30)
+    r = 0.37
+    cloud = np.vstack([center, center + dirs * r * (1 + rng.uniform(-1e-15, 1e-15, (300, 1)))])
+    index = NeighborIndex(cloud)
+    assert index._brute
+    dist = np.linalg.norm(cloud - cloud[0], axis=1)
+    assert np.array_equal(index.radius_members(0, r), np.flatnonzero(dist[1:] < r) + 1)
+    members, dists = index.knn_members(0, 150)
+    order = np.lexsort((np.arange(1, 301), dist[1:]))[:150] + 1
+    assert np.array_equal(members, order) and np.array_equal(dists, dist[order])
+
+
+def test_local_scale_dim_does_not_depend_on_chunking(monkeypatch):
+    from singscan.tuning import _local_scale_with_dim
+
+    cloud = np.random.default_rng(0).standard_normal((400, 30))
+    batched = _local_scale_with_dim(cloud)
+    # A 4 KB block holds one distance row, so every probe is its own query.
+    monkeypatch.setattr("singscan.geometry.BLOCK_BYTES", 4096)
+    assert _local_scale_with_dim(cloud) == batched

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -113,7 +114,7 @@ def test_cache_cold_then_warm(tmp_path):
     cache = NullCache(tmp_path, seed=0, n_ref=60, n_sims=200)
     t1 = cache.get(2, KERN)
     assert t1.d == 2 and t1.n_sims == 200
-    assert list(tmp_path.glob("null_*.bin")) == [tmp_path / "null_d2_geometric0.5_60_200.bin"]
+    assert list(tmp_path.glob("null_*.bin")) == [tmp_path / "null_d2_geometric0.5_60_200_s0.bin"]
     fresh = NullCache(tmp_path, seed=0, n_ref=60, n_sims=200)
     t2 = fresh.get(2, KERN)
     assert np.array_equal(t1.stats, t2.stats)
@@ -142,6 +143,9 @@ def test_cache_recovers_from_truncation(tmp_path):
 
 def test_cache_rebuilds_on_seed_mismatch(tmp_path):
     NullCache(tmp_path, seed=0, n_ref=60, n_sims=200).get(2, KERN)
+    # A seed-0 table under the seed-1 name: the header's seed disagrees.
+    seed0 = tmp_path / "null_d2_geometric0.5_60_200_s0.bin"
+    seed0.rename(tmp_path / "null_d2_geometric0.5_60_200_s1.bin")
     other = NullCache(tmp_path, seed=1, n_ref=60, n_sims=200)
     with pytest.warns(UserWarning, match="rebuilding"):
         t_other = other.get(2, KERN)
@@ -157,6 +161,21 @@ def test_cache_rebuilds_on_seed_mismatch(tmp_path):
         seed=1,
     )
     assert np.array_equal(t_other.stats, direct.stats)
+
+
+def test_caches_of_two_seeds_share_a_directory(tmp_path):
+    t0 = NullCache(tmp_path, seed=0, n_ref=60, n_sims=200).get(2, KERN)
+    t3 = NullCache(tmp_path, seed=3, n_ref=60, n_sims=200).get(2, KERN)
+    assert sorted(f.name for f in tmp_path.glob("null_*.bin")) == [
+        "null_d2_geometric0.5_60_200_s0.bin",
+        "null_d2_geometric0.5_60_200_s3.bin",
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        again0 = NullCache(tmp_path, seed=0, n_ref=60, n_sims=200).get(2, KERN)
+        again3 = NullCache(tmp_path, seed=3, n_ref=60, n_sims=200).get(2, KERN)
+    assert again0.seed == 0 and np.array_equal(again0.stats, t0.stats)
+    assert again3.seed == 3 and np.array_equal(again3.stats, t3.stats)
 
 
 def test_in_memory_cache_without_directory():

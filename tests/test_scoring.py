@@ -274,3 +274,53 @@ def test_filter_permutation_invariant():
     labels = filter_labels(p)
     perm = rng.permutation(300)
     assert np.array_equal(filter_labels(p[perm]), labels[perm])
+
+
+def _separation_oracle(points, labels, neighbor_sets):
+    """The per-point loop with scipy's ranks that ``separation`` batches."""
+    pts = np.asarray(points, dtype=float)
+    y = np.asarray(labels)
+    nbrs = np.asarray(neighbor_sets)
+    out = []
+    for i in np.flatnonzero(y == 1):
+        nb = nbrs[i]
+        ny = y[nb]
+        diffs = pts[nb] - pts[i]
+        direction = diffs[ny == 1].sum(axis=0)
+        norm = np.linalg.norm(direction)
+        if norm == 0.0 or ny.min() == ny.max():
+            out.append(0.5)
+        else:
+            out.append(roc_auc(diffs @ (direction / norm), ny))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 30])
+@pytest.mark.parametrize("cloud_kind", ["gaussian", "grid_ties", "duplicates"])
+def test_separation_equals_per_point_oracle(dim, cloud_kind):
+    rng = np.random.default_rng(dim)
+    pts = rng.standard_normal((300, dim))
+    if cloud_kind == "grid_ties":
+        pts = np.round(2.0 * pts) / 2.0
+    elif cloud_kind == "duplicates":
+        pts[150:] = pts[:150]
+    for k in (5, 20, 60):
+        nbrs = knn_neighbor_sets(pts, k)
+        for share in (0.05, 0.3, 0.9):
+            labels = (rng.random(300) < share).astype(int)
+            assert np.array_equal(
+                separation(pts, labels, nbrs), _separation_oracle(pts, labels, nbrs)
+            )
+
+
+def test_separation_equals_oracle_on_degenerate_neighborhoods():
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    nbrs = np.array([[0, 1, 2, 3], [1, 0, 2, 4], [2, 0, 1, 3], [3, 0, 1, 2], [4, 1, 2, 0]])
+    # Point 0's label-1 displacements cancel (zero direction), point 4 has a
+    # label-1 duplicate only, and 1 and 2 see all-one-class neighborhoods or not.
+    for labels in ([1, 1, 1, 0, 0], [1, 1, 1, 1, 1], [1, 0, 0, 0, 1], [0, 1, 1, 1, 0]):
+        labels = np.array(labels)
+        assert np.array_equal(
+            separation(pts, labels, nbrs), _separation_oracle(pts, labels, nbrs)
+        )
+    assert separation(pts, np.array([1, 1, 1, 0, 0]), nbrs)[0] == 0.5

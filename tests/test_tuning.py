@@ -164,3 +164,37 @@ def test_grid_search_two_circles_end_to_end(null_cache):
     labels = filter_labels(p)
     near = lab.dist_to_singular[labels == 1] <= 2.0 * best_r
     assert near.mean() >= 0.8
+
+
+def test_grid_search_reports_a_failing_configuration_as_its_own_row(null_cache):
+    class FailingNulls:
+        """The session cache, except that one kernel has no null table."""
+
+        def get(self, d, kernel):
+            if kernel.param == 0.5:
+                raise RuntimeError("no table for alpha 0.5")
+            return null_cache.get(d, kernel)
+
+    lab = generate(ShapeSpec("two_circles", 600, noise_amplitude=0.0, seed=0))
+    grid = SearchGrid(radii=(0.25,), etas=(0.8,), alphas=(0.3, 0.5, 0.7), bounds=(0.25, 0.25))
+    out = grid_search(lab.cloud, grid, FailingNulls(), seed=0)
+    assert [(row.alpha, row.error) for row in out.report] == [
+        (0.3, None),
+        (0.5, "no table for alpha 0.5"),
+        (0.7, None),
+    ]
+    assert out.best.kernel.param != 0.5
+    from singscan import filter_labels
+
+    assert np.array_equal(out.labels, filter_labels(out.scores.p_value))
+
+
+def test_grid_search_failed_geometry_fails_every_configuration(null_cache):
+    # Each point sits on 19 exact copies of itself: every neighborhood of a
+    # small radius rescales to zeros, and its PCA has no variance.
+    rng = np.random.default_rng(8)
+    cloud = np.repeat(rng.uniform(0, 1, size=(30, 2)), 20, axis=0)
+    grid = SearchGrid(radii=(1e-3,), etas=(0.7, 0.9), alphas=(0.3, 0.5), bounds=(1e-3, 1e-3))
+    with pytest.raises(RuntimeError, match="all configurations degenerate") as info:
+        grid_search(cloud, grid, null_cache, seed=0, volume_dim=2.0)
+    assert str(info.value).count("all eigenvalues zero") == 4

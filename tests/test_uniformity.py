@@ -15,6 +15,7 @@ from singscan import (
     filter_labels,
     sample_uniform_ball,
     score_columns,
+    score_configurations,
     singularity_scores,
     uniformity_test,
 )
@@ -247,3 +248,64 @@ def test_batched_subsample_matches_per_point_oracle(null_cache):
     _, nearest = cKDTree(cloud[queries]).query(cloud)
     oracle = _oracle_columns(cloud, params, null_cache, queries)
     _assert_matches_oracle(cols, tuple(col[nearest] for col in oracle))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["radius_d3", "knn_d30", "radius_subsample"],
+)
+def test_configurations_match_one_at_a_time(case, null_cache):
+    rng = np.random.default_rng(44)
+    subsample = 1.0
+    if case == "knn_d30":
+        # D >= 20 takes the per-neighborhood SVD branch of local_pca_stack.
+        basis, _ = np.linalg.qr(rng.standard_normal((30, 3)))
+        cloud = sample_uniform_ball(3, 300, rng) @ basis.T
+        cloud += 0.01 * rng.standard_normal(cloud.shape)
+        hood = Knn(40)
+    else:
+        cloud = _disk_cloud(600, 45, query_at_origin=False)
+        cloud[:, 2] = 0.05 * rng.standard_normal(len(cloud))
+        hood = Radius(0.3)
+        if case == "radius_subsample":
+            subsample = 0.25
+    etas = (0.7, 0.8, 0.95)
+    kernels = (PowerSeriesKernel("geometric", 0.3), PowerSeriesKernel("expdot", 2.0))
+    configs = list(
+        score_configurations(cloud, hood, etas, kernels, null_cache, subsample, seed=3)
+    )
+    assert [(eta, kern) for eta, kern, _ in configs] == [(e, k) for e in etas for k in kernels]
+    seen_dims = set()
+    for eta, kern, scores in configs:
+        cols = scores()
+        one = score_columns(cloud, Hyperparams(hood, eta, kern), null_cache, subsample, seed=3)
+        assert np.array_equal(cols.k_obs, one.k_obs)
+        assert np.array_equal(cols.d_hat, one.d_hat, equal_nan=True)
+        np.testing.assert_allclose(cols.mmd, one.mmd, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(cols.p_value, one.p_value, rtol=1e-12, atol=0)
+        seen_dims.add(tuple(np.unique(cols.d_hat[np.isfinite(cols.d_hat)])))
+    # The etas give different d_hat, so the shared MMD covers several dimensions.
+    assert len(seen_dims) > 1
+
+
+def test_configurations_fail_per_kernel(null_cache, monkeypatch):
+    import singscan.uniformity as uniformity
+
+    real = uniformity.mmd_sq_stack
+
+    def failing(stack, kernel, weights=None):
+        if kernel.param == 0.7:
+            raise RuntimeError("kernel 0.7 fails")
+        return real(stack, kernel, weights)
+
+    monkeypatch.setattr(uniformity, "mmd_sq_stack", failing)
+    cloud = _disk_cloud(300, 46)
+    kernels = (PowerSeriesKernel(param=0.5), PowerSeriesKernel(param=0.7))
+    for eta, kern, scores in score_configurations(
+        cloud, Radius(0.4), (0.8, 0.9), kernels, null_cache
+    ):
+        if kern.param == 0.7:
+            with pytest.raises(RuntimeError, match="kernel 0.7 fails"):
+                scores()
+        else:
+            assert np.isfinite(scores().p_value).any()
