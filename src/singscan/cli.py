@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,7 +49,7 @@ class RunConfig:
     null_sims: int = DEFAULT_N_SIMS
     null_nref: int = DEFAULT_N_REF
     subsample: float = 1.0
-    grid: dict | None = None
+    grid: dict | str | None = None
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -66,6 +67,17 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
+def _check_file_value(field: dataclasses.Field, value) -> None:
+    """A config-file value must have its RunConfig field's type; a JSON
+    integer passes as a float, and neither true nor false as a number."""
+    hint = typing.get_type_hints(RunConfig)[field.name]
+    allowed = typing.get_args(hint) or (hint,)
+    if float in allowed:
+        allowed += (int,)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise InputError(f"config file: {field.name} must be {field.type}, got {value!r}")
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     """File values fill in wherever the corresponding flag was not given."""
     file_values = _load_config_file(getattr(args, "config", None))
@@ -75,7 +87,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             setattr(cfg, field.name, flag)
         elif field.name in file_values:
+            _check_file_value(field, file_values[field.name])
             setattr(cfg, field.name, file_values[field.name])
+    if cfg.seed < 0:
+        raise InputError("--seed must be >= 0")
     if not 0.0 < cfg.subsample <= 1.0:
         raise InputError("--subsample must be in (0, 1]")
     if cfg.null_sims < MIN_N_SIMS:

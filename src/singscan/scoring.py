@@ -2,7 +2,10 @@
 
 Filtering: take log(1/p), estimate its density with a Gaussian KDE, and cut at
 the knee of the decreasing flank past the density mode; everything beyond the
-knee is labeled singular.  The dispersion score then judges a labeling by how
+knee is labeled singular.  The KDE sums one Gaussian per distinct value,
+weighted by how often that value occurs: p-values repeat (table levels, and
+points that inherit a subsample's scores), so there are far fewer distinct
+values than points.  The dispersion score then judges a labeling by how
 pure and how cleanly separated the singular points are inside their local
 neighborhoods; lower is better and hyperparameters are ranked by it.
 """
@@ -23,8 +26,6 @@ CONVEX_DEC = "convex_dec"
 KDE_GRID_SIZE = 512
 KNEE_SENSITIVITY = 1.0
 DISPERSION_NEIGHBORS = 20
-
-_KDE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,12 @@ def log_inv_p(p_values) -> np.ndarray:
 def kde_density(values) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian KDE with Silverman bandwidth 1.06 * std * n^(-1/5), evaluated
     on a uniform grid of KDE_GRID_SIZE points spanning [min, max] padded by
-    one bandwidth."""
+    one bandwidth.
+
+    The bandwidth and grid come from all n finite values; the sum runs over
+    the distinct values, each Gaussian weighted by its count, in blocks of
+    about BLOCK_BYTES.
+    """
     v = np.asarray(values, dtype=float)
     v = v[np.isfinite(v)]
     if v.size < 2:
@@ -92,10 +98,17 @@ def kde_density(values) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("degenerate values: zero variance")
     bw = 1.06 * sd * v.size ** (-0.2)
     grid = np.linspace(v.min() - bw, v.max() + bw, KDE_GRID_SIZE)
+    points, counts = np.unique(v, return_counts=True)
+    counts = counts.astype(float)
     density = np.zeros(KDE_GRID_SIZE)
-    for start in range(0, v.size, _KDE_CHUNK):
-        z = (grid[:, None] - v[None, start : start + _KDE_CHUNK]) / bw
-        density += np.exp(-0.5 * z * z).sum(axis=1)
+    per_block = max(1, BLOCK_BYTES // (8 * KDE_GRID_SIZE))
+    for start in range(0, points.size, per_block):
+        block = np.subtract.outer(grid, points[start : start + per_block])
+        block /= bw
+        block *= block
+        block *= -0.5
+        np.exp(block, out=block)
+        density += block @ counts[start : start + per_block]
     density /= v.size * bw * np.sqrt(2.0 * np.pi)
     return grid, density
 

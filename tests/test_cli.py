@@ -270,11 +270,30 @@ def test_auto_all_degenerate_grid_is_internal_failure(tmp_path, disk_csv, null_c
     ("auto", ["--grid", '{"etas": []}']),
     ("auto", ["--grid", '{"etas": [1.5]}']),
     ("auto", ["--grid", '{"alphas": [0.0]}']),
+    ("detect", ["--radius", "0.4", "--seed", "-1"]),
+    ("auto", ["--seed", "-1"]),
 ])
 def test_out_of_range_flag_is_exit_2(tmp_path, disk_csv, capsys, command, extra):
     # disk_csv has 400 points.
     code = main([command, "--input", str(disk_csv), "--output", str(tmp_path / "o.csv"),
                  "--seed", "0", "--null-dir", str(tmp_path / "nulls"), *extra])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "nulls").exists()
+
+
+@pytest.mark.parametrize("values", [
+    {"seed": 1.5},
+    {"seed": -1},
+    {"eta": "x"},
+    {"subsample": True},
+    {"null_sims": 1000.0},
+])
+def test_ill_typed_config_value_is_exit_2(tmp_path, disk_csv, capsys, values):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    code = main(["detect", "--input", str(disk_csv), "--output", str(tmp_path / "o.csv"),
+                 "--radius", "0.4", "--config", str(cfg), "--null-dir", str(tmp_path / "nulls")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "nulls").exists()

@@ -59,6 +59,43 @@ def test_kde_degenerate_inputs():
         kde_density([1.0])
 
 
+def _kde_input(kind):
+    rng = np.random.default_rng(11)
+    if kind == "normal":
+        return rng.standard_normal(5000)
+    if kind == "quantized":
+        # A null table of 1000 sims gives p-values k / 1001; below the lowest
+        # level the tail fit gives distinct values.
+        levels = rng.integers(1, 1002, 2800) / 1001.0
+        tail = np.exp(-np.log(1001.0) - rng.exponential(2.0, 200))
+        return log_inv_p(np.concatenate([levels, tail, [np.nan] * 5]))
+    # kind == "inherited": a quarter of the points scored, and each of the
+    # rest copying the score of one of them
+    scored = rng.standard_normal(750)
+    return np.concatenate([scored, scored[rng.integers(0, 750, 2250)]])
+
+
+@pytest.mark.parametrize("kind", ["normal", "quantized", "inherited"])
+def test_kde_matches_per_value_oracle(kde_oracle, kind):
+    values = _kde_input(kind)
+    grid, dens = kde_density(values)
+    grid_o, dens_o = kde_oracle(values)
+    assert np.array_equal(grid, grid_o)
+    assert np.max(np.abs(dens - dens_o)) <= 1e-13 * dens_o.max()
+
+
+def test_kde_is_bit_identical_under_permutation():
+    # Small integers, n = 4096: the bandwidth's std, which sums in input
+    # order, is exact here, so any difference would come from the KDE's sum.
+    rng = np.random.default_rng(3)
+    values = rng.integers(0, 40, 4096).astype(float)
+    grid, dens = kde_density(values)
+    for _ in range(5):
+        grid_p, dens_p = kde_density(rng.permutation(values))
+        assert np.array_equal(grid_p, grid)
+        assert np.array_equal(dens_p, dens)
+
+
 def test_knee_straight_line_has_none():
     xs = np.linspace(0, 1, 50)
     assert knee_detect(xs, xs, 1.0, CONCAVE_INC) is None

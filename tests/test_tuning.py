@@ -198,3 +198,20 @@ def test_grid_search_failed_geometry_fails_every_configuration(null_cache):
     with pytest.raises(RuntimeError, match="all configurations degenerate") as info:
         grid_search(cloud, grid, null_cache, seed=0, volume_dim=2.0)
     assert str(info.value).count("all eigenvalues zero") == 4
+
+
+def test_grid_search_with_count_weighted_kde_equals_per_value_kde(null_cache, kde_oracle,
+                                                                  monkeypatch):
+    # The cloud and grid of the CLI test of auto's winning scores.
+    lab = generate(ShapeSpec("two_circles", 1000, noise_amplitude=0.01, seed=5))
+    grid = SearchGrid(radii=(0.15, 0.3), etas=(0.8, 0.9), alphas=(0.5, 0.7), bounds=(0.15, 0.3))
+
+    def search():
+        return grid_search(lab.cloud, grid, null_cache, seed=0, subsample_fraction=0.25)
+
+    weighted = search()
+    monkeypatch.setattr("singscan.scoring.kde_density", kde_oracle)
+    per_value = search()
+    assert weighted.report == per_value.report
+    assert np.array_equal(weighted.labels, per_value.labels)
+    assert 0 < weighted.labels.sum() < 1000
