@@ -228,10 +228,15 @@ def cmd_mh_test(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.output is None:
         raise InputError("synth needs --output")
-    spec = ShapeSpec(
-        shape=args.shape, n=args.n, dim=args.dim,
-        noise_amplitude=args.noise, seed=args.seed,
-    )
+    if args.seed < 0:
+        raise InputError("--seed must be >= 0")
+    try:
+        spec = ShapeSpec(
+            shape=args.shape, n=args.n, dim=args.dim,
+            noise_amplitude=args.noise, seed=args.seed,
+        )
+    except ValueError as exc:
+        raise InputError(f"invalid synth parameters: {exc}") from exc
     labeled = generate(spec)
     write_point_cloud_csv(args.output, labeled.cloud)
     out = Path(args.output)
@@ -259,7 +264,10 @@ def cmd_roc(args: argparse.Namespace) -> int:
         raise InputError(
             f"scores ({len(scores)}) and labels ({len(labels)}) disagree in length"
         )
-    curve = roc_curve(scores, labels)
+    try:
+        curve = roc_curve(scores, labels)
+    except ValueError as exc:  # one class only
+        raise InputError(str(exc)) from exc
     payload = {"auc": curve.auc, "n": int(len(labels)), "n_excluded": curve.n_excluded}
     text = json.dumps(payload, indent=2) + "\n"
     if args.output is not None:

@@ -9,10 +9,16 @@ disk-side integrals reduce to the coefficients
     beta(d, k) = Gamma(d/2 + 1) * Gamma(k + 1/2) / (sqrt(pi) * Gamma(k + d/2 + 1))
 
 and the radial moments E||X||^(2k) = d / (d + 2k) of the uniform disk.
+
+At d = 1 the Gram term of a large sample is summed from power sums instead:
+sum_ij w_i w_j kappa(x_i x_j) = sum_k a_k (sum_i w_i x_i^k)^2, a sum of
+nonnegative terms that costs O(nT) instead of O(n^2) (the Maclaurin view of
+dot-product kernels; Kar & Karnick, AISTATS 2012).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,11 +39,18 @@ NORM_TOLERANCE = 1e-6
 NEGATIVE_CLAMP = -1e-12
 _NO_CLAMP_SQ_NORM = 1.0 - 1e-9
 
-# Gram blocks hold at most about BLOCK_BYTES, and at most _SAMPLES_PER_BLOCK
-# small samples at once (a few small Grams stay in cache); one large sample
-# is cut into row blocks of at most _GRAM_CHUNK rows.
+# Gram blocks hold at most _SAMPLES_PER_BLOCK small samples and about
+# _CACHE_BYTES at once, so a block stays in cache; one sample whose Gram
+# exceeds BLOCK_BYTES is cut into row blocks of at most _GRAM_CHUNK rows.
+# The power sums run over blocks of about _CACHE_BYTES too.
 _SAMPLES_PER_BLOCK = 8
 _GRAM_CHUNK = 512
+_CACHE_BYTES = 2**20
+
+# A d = 1 sample takes the power-sum Gram once n >= _POWER_SUM_RATIO * T for a
+# series of T terms: below that the T passes over the sample cost more than
+# the n^2 closed-form entries.
+_POWER_SUM_RATIO = 4
 
 
 @dataclass(frozen=True)
@@ -49,8 +62,8 @@ class PowerSeriesKernel:
     kind "expdot": a_k = param^k / k!, closed form exp(param * t); param > 0.
 
     ``order`` truncates the beta-series of the MMD formula at k = order
-    (coefficient index 2 * order); the Gram term always uses the exact
-    closed form.
+    (coefficient index 2 * order); the Gram term equals the closed form to
+    float64 rounding whatever ``order`` is.
     """
 
     kind: str = GEOMETRIC
@@ -113,36 +126,91 @@ def _disk_series(kernel: PowerSeriesKernel, d: int) -> tuple[np.ndarray, float]:
     return coeffs, float(np.sum(coeffs * d / (d + 2.0 * ks)))
 
 
-def mmd_sq_stack(stack: np.ndarray, kernel: PowerSeriesKernel, weights=None) -> np.ndarray:
-    """Squared MMD of each (n, d) sample of an (m, n, d) stack against the
-    uniform d-disk: ``mmd_sq_vs_uniform_disk`` of every sample at once;
-    ``weights`` (length n, shared by the stack) weight the points.
+def series_tail_bound(kernel: PowerSeriesKernel, terms: int) -> float:
+    """Upper bound on |sum_{k >= terms} a_k t^k| over t in [-1, 1]: what the
+    kernel's power series drops when cut after its first ``terms`` terms."""
+    if kernel.kind == GEOMETRIC:
+        return kernel.param**terms / (1.0 - kernel.param)
+    # a_(k+1) / a_k = param / (k + 1): a geometric bound once that is below 1.
+    ratio = kernel.param / (terms + 1)
+    if ratio >= 1.0:
+        return math.inf
+    return float(kernel.coefficients(terms)) / (1.0 - ratio)
 
-    The Gram term is summed over blocks of at most about BLOCK_BYTES: a few
-    whole samples at a time when n is small, row blocks of one sample when it
-    is large.  The disk series is a polynomial in each squared norm,
-    evaluated by Horner's rule.
-    """
+
+@lru_cache(maxsize=256)
+def series_terms(kernel: PowerSeriesKernel) -> int:
+    """Fewest terms T of the kernel's power series whose dropped tail stays
+    below eps/8 of the kernel's smallest value on [-1, 1], so that every
+    entry of a power-sum Gram equals the closed form to rounding."""
+    target = np.finfo(float).eps / 8.0 * float(kernel.closed_form(-1.0))
+    if kernel.kind == GEOMETRIC:
+        # param^T / (1 - param) <= target, solved for T: no loop up to T.
+        param = kernel.param
+        terms = max(0, math.ceil(math.log(target * (1.0 - param)) / math.log(param)))
+    else:
+        terms = math.floor(kernel.param)
+    # Settle the rounding of the logarithms (and walk expdot up to T).
+    while series_tail_bound(kernel, terms) > target:
+        terms += 1
+    while terms > 0 and series_tail_bound(kernel, terms - 1) <= target:
+        terms -= 1
+    return terms
+
+
+@lru_cache(maxsize=256)
+def _series_coefficients(kernel: PowerSeriesKernel) -> np.ndarray:
+    """a_0 .. a_(T-1) for the T = ``series_terms`` terms of the power sums."""
+    coeffs = kernel.coefficients(np.arange(series_terms(kernel)))
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+def _power_sum_gram(x: np.ndarray, coeffs: np.ndarray, weights) -> np.ndarray:
+    """sum_ij w_i w_j kappa(x_i x_j) for each row of x (m, n), entries in
+    [-1, 1], as sum_k a_k S_k^2 with the power sums S_k = sum_i w_i x_i^k.
+
+    Each row is summed on its own, so a row's value does not depend on m or
+    on the blocks."""
+    m, n = x.shape
+    sums = np.empty((m, coeffs.size))
+    per_block = max(1, _CACHE_BYTES // (8 * n))
+    for a in range(0, m, per_block):
+        part = x[a : a + per_block]
+        power = np.ones_like(part) if weights is None else np.tile(weights, (len(part), 1))
+        sums[a : a + per_block, 0] = power.sum(axis=1)
+        for k in range(1, coeffs.size):
+            power *= part
+            sums[a : a + per_block, k] = power.sum(axis=1)
+    sums *= sums
+    sums *= coeffs
+    return sums.sum(axis=1)
+
+
+def _closed_form_gram(
+    stack: np.ndarray, sq_norms: np.ndarray, kernel: PowerSeriesKernel, weights
+) -> np.ndarray:
+    """sum_ij w_i w_j kappa(<x_i, x_j>) for each sample of the stack, from the
+    closed form of every entry: a few whole samples at a time when n is
+    small, row blocks of one sample when its Gram exceeds BLOCK_BYTES."""
     m, n, d = stack.shape
-    sq_norms = np.einsum("mij,mij->mi", stack, stack)
-    if np.any(sq_norms > (1.0 + NORM_TOLERANCE) ** 2):
-        raise ValueError("points not rescaled to the unit disk")
-
-    # With every squared norm at most _NO_CLAMP_SQ_NORM no inner product can
-    # round out of [-1, 1], and the clamp would change nothing.
-    needs_clamp = sq_norms.max() > _NO_CLAMP_SQ_NORM
     gram_bytes = 8 * n * n
-    per_block = max(1, min(_SAMPLES_PER_BLOCK, BLOCK_BYTES // gram_bytes))
+    per_block = max(1, min(_SAMPLES_PER_BLOCK, _CACHE_BYTES // gram_bytes))
     rows = n if gram_bytes <= BLOCK_BYTES else min(_GRAM_CHUNK, max(1, BLOCK_BYTES // (8 * n)))
     # The closed form is 1 / (1 + scale * t) or exp(scale * t).
     scale = -kernel.param if kernel.kind == GEOMETRIC else kernel.param
     gram = np.zeros(m)
+    # With every squared norm at most _NO_CLAMP_SQ_NORM no inner product can
+    # round out of [-1, 1], and the clamp would change nothing.  Decided per
+    # block, so a sample's value does not depend on the stack around it.
+    any_clamp = sq_norms.max() > _NO_CLAMP_SQ_NORM
     for a in range(0, m, per_block):
         part = stack[a : a + per_block]
-        # This loop dominates the cost of scoring and of a null build.  A
-        # contiguous right operand keeps the stacked matmul on BLAS (a
-        # transposed view runs several times slower); without the clamp it
-        # also carries the scale, which saves a pass over every block.
+        needs_clamp = any_clamp and sq_norms[a : a + per_block].max() > _NO_CLAMP_SQ_NORM
+        # This loop dominates the cost of scoring and of a d >= 2 null
+        # build.  A contiguous right operand keeps the stacked matmul on BLAS
+        # (a transposed view runs several times slower); without the clamp
+        # it also carries the scale, which saves a pass over every block.
         right = part.transpose(0, 2, 1).copy()
         if not needs_clamp:
             right *= scale
@@ -162,6 +230,32 @@ def mmd_sq_stack(stack: np.ndarray, kernel: PowerSeriesKernel, weights=None) -> 
                 gram[a : a + per_block] += block.sum(axis=(1, 2))
             else:
                 gram[a : a + per_block] += (block @ weights) @ weights[r : r + rows]
+    return gram
+
+
+def mmd_sq_stack(stack: np.ndarray, kernel: PowerSeriesKernel, weights=None) -> np.ndarray:
+    """Squared MMD of each (n, d) sample of an (m, n, d) stack against the
+    uniform d-disk: ``mmd_sq_vs_uniform_disk`` of every sample at once;
+    ``weights`` (length n, shared by the stack) weight the points.
+
+    The Gram term equals the closed form to float64 rounding.  At d = 1 with
+    n >= 4T (T = ``series_terms(kernel)``, 25 for expdot(2), 57 for
+    geometric(0.5)) it is summed from T power sums of each sample, at cost
+    O(nT); otherwise from the closed form of every entry, at cost O(n^2 d).
+    The disk series is a polynomial in each squared norm, evaluated by
+    Horner's rule.
+    """
+    m, n, d = stack.shape
+    sq_norms = np.einsum("mij,mij->mi", stack, stack)
+    if np.any(sq_norms > (1.0 + NORM_TOLERANCE) ** 2):
+        raise ValueError("points not rescaled to the unit disk")
+
+    if d == 1 and n >= _POWER_SUM_RATIO * series_terms(kernel):
+        # Clipped so that |x_i x_j| <= 1 and the tail bound holds.
+        x = np.clip(stack[:, :, 0], -1.0, 1.0)
+        gram = _power_sum_gram(x, _series_coefficients(kernel), weights)
+    else:
+        gram = _closed_form_gram(stack, sq_norms, kernel, weights)
 
     coeffs, disk_total = _disk_series(kernel, d)
     poly = np.full_like(sq_norms, coeffs[-1])
@@ -191,9 +285,10 @@ def mmd_sq_vs_uniform_disk(points, kernel: PowerSeriesKernel, weights=None) -> f
 
     With ``weights`` the empirical measure puts mass proportional to
     ``weights[i]`` on ``points[i]``; integer weights give the same value as
-    repeating each point that many times.  Gram term uses the exact closed
-    form of the kernel; the disk series is truncated at ``kernel.order``.
-    Cost O(n^2 d + n * order).
+    repeating each point that many times.  The Gram term equals the closed
+    form of the kernel to float64 rounding; the disk series is truncated at
+    ``kernel.order``.  Cost O(n^2 d + n * order), or O(n * (T + order)) for
+    a large one-dimensional sample (see ``mmd_sq_stack``).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:

@@ -299,6 +299,34 @@ def test_ill_typed_config_value_is_exit_2(tmp_path, disk_csv, capsys, values):
     assert not (tmp_path / "nulls").exists()
 
 
+@pytest.mark.parametrize("extra", [
+    ["--shape", "bogus", "--n", "100"],
+    ["--shape", "two_circles", "--n", "0"],
+    ["--shape", "two_circles", "--n", "100", "--dim", "0"],
+    ["--shape", "two_circles", "--n", "100", "--noise", "-1"],
+    ["--shape", "two_circles", "--n", "100", "--seed", "-1"],
+])
+def test_synth_bad_parameter_is_exit_2(tmp_path, capsys, extra):
+    out = tmp_path / "cloud.csv"
+    code = main(["synth", "--output", str(out), *extra])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("label", ["0", "1"])
+def test_roc_one_class_is_exit_2(tmp_path, capsys, label):
+    scores = tmp_path / "s.csv"
+    labels = tmp_path / "y.csv"
+    scores.write_text("0.1\n0.2\n0.9\n")
+    labels.write_text(f"{label}\n{label}\n{label}\n")
+    out = tmp_path / "roc.json"
+    code = main(["roc", "--scores", str(scores), "--labels", str(labels), "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ROC undefined")
+    assert not out.exists()
+
+
 def test_auto_writes_the_winning_configuration_scores(tmp_path, null_cache):
     lab = generate(ShapeSpec("two_circles", 1000, noise_amplitude=0.01, seed=5))
     cloud = tmp_path / "cloud.csv"

@@ -13,7 +13,13 @@ from singscan import (
     sample_uniform_ball,
 )
 from singscan.geometry import BLOCK_BYTES
-from singscan.kernels import mmd_sq_stack
+from singscan.kernels import (
+    _closed_form_gram,
+    _power_sum_gram,
+    _series_coefficients,
+    mmd_sq_stack,
+    series_terms,
+)
 
 GEOM_HALF = PowerSeriesKernel("geometric", 0.5)
 
@@ -272,6 +278,78 @@ def test_mmd_sq_stack_matches_pairwise_oracle(kern, d):
             got = mmd_sq_stack(sample, kern, w)
             want = [_oracle_mmd_sq(pts, kern, w) for pts in sample]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+POWER_SUM_KERNELS = [PowerSeriesKernel("geometric", 0.7), PowerSeriesKernel("expdot", 2.0)]
+
+
+@pytest.mark.parametrize("kern", POWER_SUM_KERNELS, ids=lambda k: f"{k.kind}{k.param}")
+def test_mmd_sq_stack_power_sums_match_pairwise_oracle(kern, monkeypatch):
+    # d = 1 with n = 600 >= 4T takes the power sums (T = 112 and 25); the
+    # closed-form Gram, forced by an unreachable ratio, must agree as well.
+    n = 600
+    assert n >= 4 * series_terms(kern)
+    rng = np.random.default_rng(int(10 * kern.param))
+    stack = _off_center_stack(rng, 3, n, 1)
+    weights = rng.integers(1, 6, size=n).astype(float)
+    edge = stack.copy()
+    edge[1, 5, 0] = 1.0
+    edge[2, 9, 0] = -1.0
+    cases = [(sample, w) for sample in (stack, edge) for w in (None, weights)]
+    wants = [[_oracle_mmd_sq(pts, kern, w) for pts in sample] for sample, w in cases]
+    for (sample, w), want in zip(cases, wants):
+        np.testing.assert_allclose(mmd_sq_stack(sample, kern, w), want, rtol=1e-12, atol=0)
+    monkeypatch.setattr("singscan.kernels._POWER_SUM_RATIO", 10**9)
+    for (sample, w), want in zip(cases, wants):
+        np.testing.assert_allclose(mmd_sq_stack(sample, kern, w), want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kern", POWER_SUM_KERNELS + [PowerSeriesKernel("geometric", 0.3)],
+                         ids=lambda k: f"{k.kind}{k.param}")
+def test_power_sum_gram_is_exact_to_rounding(kern):
+    # Both Gram sums of a 500-point d = 1 sample against the correctly
+    # rounded sum of its closed-form entries.
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        x = sample_uniform_ball(1, 500, rng)
+        w = rng.integers(1, 6, size=500).astype(float)
+        entries = kern.closed_form(np.outer(x[:, 0], x[:, 0]))
+        for weights in (None, w):
+            exact = math.fsum((entries if weights is None else
+                               entries * np.outer(weights, weights)).ravel())
+            power = _power_sum_gram(x.T, _series_coefficients(kern), weights)[0]
+            gram = _closed_form_gram(x[None], x.T**2, kern, weights)[0]
+            assert abs(power - exact) <= 2e-15 * exact
+            assert abs(gram - exact) <= 2e-15 * exact
+
+
+def _tail_bound(kern, terms):
+    """sum_{k >= terms} a_k bounded by a geometric series from its first term."""
+    a = kern.param
+    if kern.kind == "geometric":
+        return a**terms / (1.0 - a)
+    if a / (terms + 1) >= 1.0:
+        return math.inf
+    return math.exp(terms * math.log(a) - math.lgamma(terms + 1.0)) / (1.0 - a / (terms + 1))
+
+
+@pytest.mark.parametrize("kind, param, expected", [
+    ("geometric", 0.3, 33),
+    ("geometric", 0.5, 57),
+    ("geometric", 0.7, 112),
+    ("geometric", 0.9, 390),
+    ("geometric", 0.999, None),
+    ("expdot", 0.5, None),
+    ("expdot", 2.0, 25),
+    ("expdot", 10.0, None),
+])
+def test_series_terms_is_the_fewest_within_the_tail_bound(kind, param, expected):
+    kern = PowerSeriesKernel(kind, param)
+    terms = series_terms(kern)
+    target = np.finfo(float).eps / 8.0 * min(kern.closed_form(-1.0), kern.closed_form(1.0))
+    assert _tail_bound(kern, terms) <= target < _tail_bound(kern, terms - 1)
+    if expected is not None:
+        assert terms == expected
 
 
 @pytest.mark.parametrize("kern", [ORACLE_KERNELS[0], ORACLE_KERNELS[2]], ids=lambda k: k.kind)

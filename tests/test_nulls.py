@@ -20,6 +20,7 @@ from singscan import (
     p_value,
     sample_uniform_ball,
 )
+from singscan.kernels import series_terms
 from singscan.nulls import _read_table
 
 KERN = PowerSeriesKernel("geometric", 0.5)
@@ -47,6 +48,39 @@ def test_build_null_deterministic_and_nonnegative(null_cache):
     assert np.array_equal(a.stats, b.stats)
     assert np.all(a.stats >= 0.0)
     assert np.all(np.diff(a.stats) >= 0.0)
+
+
+def _per_sample_stats(d, kernel, n_ref, n_sims, rng):
+    """The null statistics one sample at a time, from the same spawned
+    children as ``build_null``, sorted."""
+    return np.sort([
+        n_ref * mmd_sq_vs_uniform_disk(sample_uniform_ball(d, n_ref, child), kernel)
+        for child in rng.spawn(n_sims)
+    ])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_stacked_build_equals_per_sample_loop(d):
+    kern = PowerSeriesKernel("expdot", 2.0)
+    table = build_null(d, kern, 500, 200, np.random.default_rng(40 + d))
+    oracle = _per_sample_stats(d, kern, 500, 200, np.random.default_rng(40 + d))
+    assert np.array_equal(table.stats, oracle)
+
+
+@pytest.mark.parametrize("param", [0.5, 0.9])
+def test_d1_table_does_not_depend_on_chunking(param, monkeypatch):
+    # n_ref = 500 takes the power sums for geometric(0.5) (T = 57) and the
+    # closed-form Gram for geometric(0.9) (T = 390).
+    kern = PowerSeriesKernel("geometric", param)
+    assert (500 >= 4 * series_terms(kern)) == (param == 0.5)
+    whole = build_null(1, kern, 500, 200, np.random.default_rng(8))
+    monkeypatch.setattr("singscan.nulls.BLOCK_BYTES", 3 * 8 * 500)
+    chunked = build_null(1, kern, 500, 200, np.random.default_rng(8))
+    assert np.array_equal(whole.stats, chunked.stats)
+    # Against the closed-form Gram of every sample: equal to rounding.
+    monkeypatch.setattr("singscan.kernels._POWER_SUM_RATIO", 10**9)
+    oracle = _per_sample_stats(1, kern, 500, 200, np.random.default_rng(8))
+    np.testing.assert_allclose(whole.stats, oracle, rtol=0, atol=2e-12)
 
 
 def test_null_mean_matches_expected_value(null_cache):
