@@ -25,6 +25,9 @@ _BRUTE_DIM = 20
 # Working-memory cap of one batched block: a chunk of distance rows, a stack
 # of neighborhoods, a block of Gram matrices.
 BLOCK_BYTES = 32 * 2**20
+# Size of a block of small matrices worked on at once, so that it stays in
+# cache: small Gram matrices of the MMD and of the local PCA, power sums.
+CACHE_BYTES = 2**20
 # Bytes one neighbor costs while a chunk of ball queries is gathered (Python
 # list entry, flat index, query index, difference vector and distance).
 _BYTES_PER_MEMBER = 128
@@ -281,29 +284,41 @@ def local_pca(points, eta: float) -> PcaResult:
 
 def local_pca_stack(stack: np.ndarray, etas) -> tuple[np.ndarray, np.ndarray]:
     """``local_pca`` of each (k, D) neighborhood of an (m, k, D) stack under
-    each threshold of ``etas``: d_hat as an (len(etas), m) array, and the
-    leading principal axes of each neighborhood, as many as its largest
-    d_hat, as the rows of an (m, max(d_hat), D) array."""
+    each threshold of ``etas``, and the projection of each neighborhood on
+    its leading principal axes: d_hat as an (len(etas), m) array, and the
+    coordinates as an (m, k, max(d_hat)) array whose first d columns are the
+    projection on the top d axes for every d up to the neighborhood's
+    largest d_hat (d_hat grows with eta).
+
+    With k >= D one stacked SVD gives the axes, and the coordinates are the
+    rescaled points times them.  With k < D the k x k Gram X X^T is smaller:
+    its eigenvalues are the squared singular values, and since X V = U S the
+    coordinates are the eigenvectors times the square roots of their
+    eigenvalues, X V up to the sign of each column, which no dot-product
+    kernel sees.  The Gram matrices go through ``eigh`` in blocks of about
+    CACHE_BYTES, each keeping only the leading columns its etas need, so no
+    (m, k, k) array is held for the whole stack.
+    """
     m, k, dim = stack.shape
-    if dim < _BRUTE_DIM:
+    if k >= dim:
         _, s, vt = np.linalg.svd(stack, full_matrices=False)
         d_hat = np.array([estimate_dim(s**2 / k, eta) for eta in etas])
-        return d_hat, vt[:, : d_hat.max()]
-    # One at a time: with OpenBLAS on 2 CPUs, a stacked SVD of 60 x 100
-    # neighborhoods measured 3.0 ms each against 1.35 ms in a loop.  Only the
-    # leading axes are kept, as many as the largest eta needs (d_hat grows
-    # with eta), so memory stays that of the stack.
-    spectra = np.empty((m, min(k, dim)))
+        # A contiguous operand keeps the stacked matmul on BLAS.
+        return d_hat, stack @ vt[:, : d_hat.max()].transpose(0, 2, 1).copy()
+    d_hat = np.empty((len(etas), m), dtype=np.intp)
     leading = []
-    for j, pts in enumerate(stack):
-        _, s, vt = np.linalg.svd(pts, full_matrices=False)
-        spectra[j] = s**2 / k
-        leading.append(vt[: estimate_dim(spectra[j], max(etas))].copy())
-    d_hat = np.array([estimate_dim(spectra, eta) for eta in etas])
-    axes = np.zeros((m, d_hat.max(), dim))
-    for j, rows in enumerate(leading):
-        axes[j, : len(rows)] = rows
-    return d_hat, axes
+    per_block = max(1, CACHE_BYTES // (8 * k * k))
+    for a in range(0, m, per_block):
+        part = stack[a : a + per_block]
+        w, u = np.linalg.eigh(part @ part.transpose(0, 2, 1))
+        w = np.maximum(w[:, ::-1], 0.0)
+        d_hat[:, a : a + per_block] = [estimate_dim(w / k, eta) for eta in etas]
+        lead = d_hat[:, a : a + per_block].max()
+        leading.append((a, u[:, :, ::-1][:, :, :lead] * np.sqrt(w[:, None, :lead])))
+    projected = np.zeros((m, k, d_hat.max()))
+    for a, coords in leading:
+        projected[a : a + len(coords), :, : coords.shape[2]] = coords
+    return d_hat, projected
 
 
 def project(neighborhood: Neighborhood, pca: PcaResult) -> np.ndarray:

@@ -25,13 +25,13 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .geometry import BLOCK_BYTES
+from .geometry import BLOCK_BYTES, CACHE_BYTES
 
 GEOMETRIC = "geometric"
 EXP_DOT = "expdot"
 
 # Points feeding the MMD must sit inside the unit disk; this slack absorbs
-# rescaling round-off.
+# rescaling round-off, and a point within it is moved onto the boundary.
 NORM_TOLERANCE = 1e-6
 
 # Squared-MMD values are mathematically nonnegative; float cancellation this
@@ -40,12 +40,11 @@ NEGATIVE_CLAMP = -1e-12
 _NO_CLAMP_SQ_NORM = 1.0 - 1e-9
 
 # Gram blocks hold at most _SAMPLES_PER_BLOCK small samples and about
-# _CACHE_BYTES at once, so a block stays in cache; one sample whose Gram
+# CACHE_BYTES at once, so a block stays in cache; one sample whose Gram
 # exceeds BLOCK_BYTES is cut into row blocks of at most _GRAM_CHUNK rows.
-# The power sums run over blocks of about _CACHE_BYTES too.
+# The power sums run over blocks of about CACHE_BYTES too.
 _SAMPLES_PER_BLOCK = 8
 _GRAM_CHUNK = 512
-_CACHE_BYTES = 2**20
 
 # A d = 1 sample takes the power-sum Gram once n >= _POWER_SUM_RATIO * T for a
 # series of T terms: below that the T passes over the sample cost more than
@@ -174,7 +173,7 @@ def _power_sum_gram(x: np.ndarray, coeffs: np.ndarray, weights) -> np.ndarray:
     on the blocks."""
     m, n = x.shape
     sums = np.empty((m, coeffs.size))
-    per_block = max(1, _CACHE_BYTES // (8 * n))
+    per_block = max(1, CACHE_BYTES // (8 * n))
     for a in range(0, m, per_block):
         part = x[a : a + per_block]
         power = np.ones_like(part) if weights is None else np.tile(weights, (len(part), 1))
@@ -195,7 +194,7 @@ def _closed_form_gram(
     small, row blocks of one sample when its Gram exceeds BLOCK_BYTES."""
     m, n, d = stack.shape
     gram_bytes = 8 * n * n
-    per_block = max(1, min(_SAMPLES_PER_BLOCK, _CACHE_BYTES // gram_bytes))
+    per_block = max(1, min(_SAMPLES_PER_BLOCK, CACHE_BYTES // gram_bytes))
     rows = n if gram_bytes <= BLOCK_BYTES else min(_GRAM_CHUNK, max(1, BLOCK_BYTES // (8 * n)))
     # The closed form is 1 / (1 + scale * t) or exp(scale * t).
     scale = -kernel.param if kernel.kind == GEOMETRIC else kernel.param
@@ -243,17 +242,25 @@ def mmd_sq_stack(stack: np.ndarray, kernel: PowerSeriesKernel, weights=None) -> 
     geometric(0.5)) it is summed from T power sums of each sample, at cost
     O(nT); otherwise from the closed form of every entry, at cost O(n^2 d).
     The disk series is a polynomial in each squared norm, evaluated by
-    Horner's rule.
+    Horner's rule.  A point outside the disk by at most NORM_TOLERANCE is
+    scored as its projection onto the boundary.
     """
     m, n, d = stack.shape
     sq_norms = np.einsum("mij,mij->mi", stack, stack)
-    if np.any(sq_norms > (1.0 + NORM_TOLERANCE) ** 2):
+    peak = sq_norms.max()
+    if peak > (1.0 + NORM_TOLERANCE) ** 2:
         raise ValueError("points not rescaled to the unit disk")
+    # A point outside the disk by at most the tolerance is moved onto its
+    # boundary once, so that both Gram paths and the disk series score the
+    # same sample.  At d = 1 this gives x = +-1 exactly (sqrt(x * x) = |x|
+    # in binary floating point), so |x_i x_j| <= 1 and the power sums' tail
+    # bound holds.
+    if peak > 1.0:
+        stack = stack / np.sqrt(np.maximum(sq_norms, 1.0))[:, :, None]
+        sq_norms = np.minimum(sq_norms, 1.0)
 
     if d == 1 and n >= _POWER_SUM_RATIO * series_terms(kernel):
-        # Clipped so that |x_i x_j| <= 1 and the tail bound holds.
-        x = np.clip(stack[:, :, 0], -1.0, 1.0)
-        gram = _power_sum_gram(x, _series_coefficients(kernel), weights)
+        gram = _power_sum_gram(stack[:, :, 0], _series_coefficients(kernel), weights)
     else:
         gram = _closed_form_gram(stack, sq_norms, kernel, weights)
 

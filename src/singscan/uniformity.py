@@ -145,8 +145,11 @@ def _mmd_columns(coords: np.ndarray, queries: np.ndarray, neighborhood: Radius |
     where the neighborhood was too small to test, and the exception of each
     kernel (by position) whose MMD failed.
 
-    Neighborhoods are gathered in chunks, grouped by size into stacks of at
-    most about BLOCK_BYTES, and each stack goes through one stacked PCA.
+    Neighborhoods are gathered in chunks and grouped by size into stacks of
+    at most about BLOCK_BYTES.  ``local_pca_stack`` gives each neighborhood
+    of a stack its d_hat under every eta and its coordinates on the leading
+    principal axes, and the MMD of a neighborhood at dimension d is taken on
+    its first d coordinates.
     """
     dim = coords.shape[1]
     m = len(queries)
@@ -169,9 +172,7 @@ def _mmd_columns(coords: np.ndarray, queries: np.ndarray, neighborhood: Radius |
                 # A zero k-th neighbor distance means every member sits on
                 # the center; those neighborhoods rescale to zeros.
                 stack /= np.where(scales[sel] > 0, scales[sel], np.inf)[:, None, None]
-                dims, axes = local_pca_stack(stack, etas)
-                # A contiguous operand keeps the stacked matmul on BLAS.
-                projected = stack @ axes.transpose(0, 2, 1).copy()
+                dims, projected = local_pca_stack(stack, etas)
                 d_hat[:, done + sel] = dims
                 for d in np.unique(dims):
                     rows = np.flatnonzero((dims == d).any(axis=0))

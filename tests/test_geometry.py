@@ -13,6 +13,7 @@ from singscan import (
     sample_uniform_ball,
     second_moment,
 )
+from singscan.geometry import local_pca_stack
 
 
 def test_radius_collinear_example():
@@ -212,6 +213,50 @@ def test_projection_is_a_contraction(seed):
     assert np.all(
         np.linalg.norm(proj, axis=1) <= np.linalg.norm(pts, axis=1) + 1e-12
     )
+
+
+def _noisy_flat_stack(rng, m, k, dim):
+    """m neighborhoods of k points near a random 3-plane of R^dim, rescaled
+    into the unit ball, with some spread in d_hat across neighborhoods."""
+    stack = np.empty((m, k, dim))
+    for j in range(m):
+        basis, _ = np.linalg.qr(rng.standard_normal((dim, 3)))
+        pts = sample_uniform_ball(3, k, rng) * [1.0, 0.6, 0.2 + 0.1 * j] @ basis.T
+        pts += 0.03 * rng.standard_normal(pts.shape)
+        stack[j] = pts / np.linalg.norm(pts, axis=1).max()
+    return stack
+
+
+@pytest.mark.parametrize(
+    "k, dim", [(20, 60), (60, 100), (40, 30), (30, 3)], ids=["gram", "gram_image", "svd", "svd_low"]
+)
+def test_local_pca_stack_matches_local_pca(k, dim):
+    rng = np.random.default_rng(11)
+    etas = (0.5, 0.8, 0.95, 0.99)
+    stack = _noisy_flat_stack(rng, 6, k, dim)
+    d_hat, projected = local_pca_stack(stack, etas)
+    assert projected.shape == (6, k, d_hat.max())
+    for j, pts in enumerate(stack):
+        for e, eta in enumerate(etas):
+            pca = local_pca(pts, eta)
+            assert d_hat[e, j] == pca.d_hat
+            axes = pca.basis[:, : pca.d_hat]
+            coords = projected[j, :, : pca.d_hat]
+            # Equal to X V_d up to column signs, which leave P P^T unchanged.
+            np.testing.assert_allclose(
+                coords @ coords.T, pts @ axes @ axes.T @ pts.T, rtol=0, atol=1e-12
+            )
+    assert len(np.unique(d_hat)) > 1
+
+
+@pytest.mark.parametrize("k, dim", [(20, 60), (40, 30)], ids=["gram", "svd"])
+def test_local_pca_stack_rejects_a_zero_neighborhood(k, dim):
+    stack = _noisy_flat_stack(np.random.default_rng(12), 3, k, dim)
+    stack[1] = 0.0
+    with pytest.raises(ValueError, match="degenerate neighborhood"):
+        local_pca(stack[1], 0.8)
+    with pytest.raises(ValueError, match="degenerate neighborhood"):
+        local_pca_stack(stack, (0.8,))
 
 
 def test_flat_sample_dimension_recovery():

@@ -304,6 +304,22 @@ def test_mmd_sq_stack_power_sums_match_pairwise_oracle(kern, monkeypatch):
         np.testing.assert_allclose(mmd_sq_stack(sample, kern, w), want, rtol=1e-12, atol=0)
 
 
+def test_point_just_outside_the_disk_scores_as_on_its_boundary(monkeypatch):
+    # A point within NORM_TOLERANCE outside the disk is moved onto the
+    # boundary before either Gram path and the disk series, so both paths
+    # give the value of the sample with that point at exactly 1.
+    kern = PowerSeriesKernel("expdot", 2.0)
+    pts = sample_uniform_ball(1, 600, np.random.default_rng(31))
+    outside, boundary = pts.copy(), pts.copy()
+    outside[7, 0], boundary[7, 0] = 1.0 + 9e-7, 1.0
+    assert len(pts) >= 4 * series_terms(kern)
+    power = [mmd_sq_stack(sample[None], kern)[0] for sample in (outside, boundary)]
+    monkeypatch.setattr("singscan.kernels._POWER_SUM_RATIO", 10**9)
+    closed = [mmd_sq_stack(sample[None], kern)[0] for sample in (outside, boundary)]
+    assert power[0] == power[1] and closed[0] == closed[1]
+    np.testing.assert_allclose(power[0], closed[0], rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("kern", POWER_SUM_KERNELS + [PowerSeriesKernel("geometric", 0.3)],
                          ids=lambda k: f"{k.kind}{k.param}")
 def test_power_sum_gram_is_exact_to_rounding(kern):

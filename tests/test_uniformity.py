@@ -228,6 +228,8 @@ def test_batched_radius_matches_per_point_oracle(null_cache):
 
 
 def test_batched_knn_high_dimension_matches_per_point_oracle(null_cache):
+    # The image shape, 60 x 100 neighborhoods: k < D takes the Gram branch of
+    # local_pca_stack.
     rng = np.random.default_rng(42)
     basis, _ = np.linalg.qr(rng.standard_normal((100, 3)))
     cloud = sample_uniform_ball(3, 400, rng) @ basis.T
@@ -235,6 +237,25 @@ def test_batched_knn_high_dimension_matches_per_point_oracle(null_cache):
     params = Hyperparams(Knn(60), 0.9, KERN)
     cols = score_columns(cloud, params, null_cache)
     _assert_matches_oracle(cols, _oracle_columns(cloud, params, null_cache, range(len(cloud))))
+
+
+@pytest.mark.parametrize(
+    "k, dim",
+    # k < D: the Gram branch of local_pca_stack, with brute-force and KD-tree
+    # neighbors; k >= D >= 20: its SVD branch with brute-force neighbors.
+    [(20, 60), (12, 15), (40, 30)],
+    ids=["gram_d60", "gram_d15", "svd_d30"],
+)
+def test_batched_knn_pca_branches_match_per_point_oracle(k, dim, null_cache):
+    rng = np.random.default_rng(47)
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, 3)))
+    cloud = sample_uniform_ball(3, 300, rng) @ basis.T
+    cloud += 0.02 * rng.standard_normal(cloud.shape)
+    params = Hyperparams(Knn(k), 0.9, PowerSeriesKernel("expdot", 2.0))
+    cols = score_columns(cloud, params, null_cache)
+    oracle = _oracle_columns(cloud, params, null_cache, range(len(cloud)))
+    assert len(np.unique(oracle[1])) > 1
+    _assert_matches_oracle(cols, oracle)
 
 
 def test_batched_subsample_matches_per_point_oracle(null_cache):
@@ -258,7 +279,8 @@ def test_configurations_match_one_at_a_time(case, null_cache):
     rng = np.random.default_rng(44)
     subsample = 1.0
     if case == "knn_d30":
-        # D >= 20 takes the per-neighborhood SVD branch of local_pca_stack.
+        # k = 40 >= D = 30 >= 20: brute-force neighbors and the SVD branch
+        # of local_pca_stack.
         basis, _ = np.linalg.qr(rng.standard_normal((30, 3)))
         cloud = sample_uniform_ball(3, 300, rng) @ basis.T
         cloud += 0.01 * rng.standard_normal(cloud.shape)
