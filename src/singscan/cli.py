@@ -290,6 +290,8 @@ def cmd_ingest_dct(args: argparse.Namespace) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser, with_hyper: bool = True) -> None:
+    """Flags shared by detect, auto and mh-test; ``with_hyper`` adds the fixed
+    hyperparameters, which auto tunes instead of reading."""
     sub.add_argument("--input", help="input point-cloud CSV")
     sub.add_argument("--output", help="output file")
     sub.add_argument("--config", help="JSON config file; flags override its values")
@@ -316,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_detect)
 
     p = subs.add_parser("auto", help="tune hyperparameters, then detect")
-    _add_common(p)
+    _add_common(p, with_hyper=False)
     p.add_argument("--grid", default=None,
                    help='JSON grid {"radii": [...], "etas": [...], "alphas": [...], "bounds": [lo, hi]}')
     p.set_defaults(func=cmd_auto)

@@ -11,8 +11,8 @@ disk-side integrals reduce to the coefficients
 and the radial moments E||X||^(2k) = d / (d + 2k) of the uniform disk.
 
 At d = 1 the Gram term of a large sample is summed from power sums instead:
-sum_ij w_i w_j kappa(x_i x_j) = sum_k a_k (sum_i w_i x_i^k)^2, a sum of
-nonnegative terms that costs O(nT) instead of O(n^2) (the Maclaurin view of
+sum_ij kappa(x_i x_j) = sum_k a_k (sum_i x_i^k)^2, a sum of nonnegative
+terms that costs O(nT) instead of O(n^2) (the Maclaurin view of
 dot-product kernels; Kar & Karnick, AISTATS 2012).
 """
 
@@ -37,13 +37,11 @@ NORM_TOLERANCE = 1e-6
 # Squared-MMD values are mathematically nonnegative; float cancellation this
 # far below zero is tolerated and clamped, anything worse is a genuine bug.
 NEGATIVE_CLAMP = -1e-12
-_NO_CLAMP_SQ_NORM = 1.0 - 1e-9
 
-# Gram blocks hold at most _SAMPLES_PER_BLOCK small samples and about
-# CACHE_BYTES at once, so a block stays in cache; one sample whose Gram
-# exceeds BLOCK_BYTES is cut into row blocks of at most _GRAM_CHUNK rows.
-# The power sums run over blocks of about CACHE_BYTES too.
-_SAMPLES_PER_BLOCK = 8
+# Gram blocks hold as many whole samples as fit in CACHE_BYTES, so a block
+# stays in cache; one sample whose Gram exceeds BLOCK_BYTES is cut into row
+# blocks of at most _GRAM_CHUNK rows.  The power sums run over blocks of
+# about CACHE_BYTES too.
 _GRAM_CHUNK = 512
 
 # A d = 1 sample takes the power-sum Gram once n >= _POWER_SUM_RATIO * T for a
@@ -165,9 +163,9 @@ def _series_coefficients(kernel: PowerSeriesKernel) -> np.ndarray:
     return coeffs
 
 
-def _power_sum_gram(x: np.ndarray, coeffs: np.ndarray, weights) -> np.ndarray:
-    """sum_ij w_i w_j kappa(x_i x_j) for each row of x (m, n), entries in
-    [-1, 1], as sum_k a_k S_k^2 with the power sums S_k = sum_i w_i x_i^k.
+def _power_sum_gram(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_ij kappa(x_i x_j) for each row of x (m, n), entries in [-1, 1], as
+    sum_k a_k S_k^2 with the power sums S_k = sum_i x_i^k.
 
     Each row is summed on its own, so a row's value does not depend on m or
     on the blocks."""
@@ -176,7 +174,7 @@ def _power_sum_gram(x: np.ndarray, coeffs: np.ndarray, weights) -> np.ndarray:
     per_block = max(1, CACHE_BYTES // (8 * n))
     for a in range(0, m, per_block):
         part = x[a : a + per_block]
-        power = np.ones_like(part) if weights is None else np.tile(weights, (len(part), 1))
+        power = np.ones_like(part)
         sums[a : a + per_block, 0] = power.sum(axis=1)
         for k in range(1, coeffs.size):
             power *= part
@@ -186,56 +184,46 @@ def _power_sum_gram(x: np.ndarray, coeffs: np.ndarray, weights) -> np.ndarray:
     return sums.sum(axis=1)
 
 
-def _closed_form_gram(
-    stack: np.ndarray, sq_norms: np.ndarray, kernel: PowerSeriesKernel, weights
-) -> np.ndarray:
-    """sum_ij w_i w_j kappa(<x_i, x_j>) for each sample of the stack, from the
-    closed form of every entry: a few whole samples at a time when n is
-    small, row blocks of one sample when its Gram exceeds BLOCK_BYTES."""
+def _closed_form_gram(stack: np.ndarray, kernel: PowerSeriesKernel) -> np.ndarray:
+    """sum_ij kappa(<x_i, x_j>) for each sample of the stack, from the closed
+    form of every entry: as many whole samples as fit in CACHE_BYTES at a
+    time when n is small, row blocks of one sample when its Gram exceeds
+    BLOCK_BYTES.  Every sample is summed on its own, so its value does not
+    depend on the stack around it."""
     m, n, d = stack.shape
     gram_bytes = 8 * n * n
-    per_block = max(1, min(_SAMPLES_PER_BLOCK, CACHE_BYTES // gram_bytes))
+    per_block = max(1, CACHE_BYTES // gram_bytes)
     rows = n if gram_bytes <= BLOCK_BYTES else min(_GRAM_CHUNK, max(1, BLOCK_BYTES // (8 * n)))
-    # The closed form is 1 / (1 + scale * t) or exp(scale * t).
+    # The closed form is 1 / (1 + scale * t) or exp(scale * t).  The points
+    # lie in the closed unit disk, so t <= 1 up to rounding, below the pole
+    # of 1 / (1 - param * t) at t = 1 / param > 1.
     scale = -kernel.param if kernel.kind == GEOMETRIC else kernel.param
     gram = np.zeros(m)
-    # With every squared norm at most _NO_CLAMP_SQ_NORM no inner product can
-    # round out of [-1, 1], and the clamp would change nothing.  Decided per
-    # block, so a sample's value does not depend on the stack around it.
-    any_clamp = sq_norms.max() > _NO_CLAMP_SQ_NORM
     for a in range(0, m, per_block):
         part = stack[a : a + per_block]
-        needs_clamp = any_clamp and sq_norms[a : a + per_block].max() > _NO_CLAMP_SQ_NORM
         # This loop dominates the cost of scoring and of a d >= 2 null
         # build.  A contiguous right operand keeps the stacked matmul on BLAS
-        # (a transposed view runs several times slower); without the clamp
-        # it also carries the scale, which saves a pass over every block.
+        # (a transposed view runs several times slower), and carrying the
+        # scale saves a pass over every block.
         right = part.transpose(0, 2, 1).copy()
-        if not needs_clamp:
-            right *= scale
+        right *= scale
         for r in range(0, n, rows):
             left = part[:, r : r + rows]
             # For d = 1 the broadcast product is the Gram without a K = 1 matmul.
             block = left * right if d == 1 else left @ right
-            if needs_clamp:
-                np.clip(block, -1.0, 1.0, out=block)
-                block *= scale
             if kernel.kind == GEOMETRIC:
                 block += 1.0
                 np.reciprocal(block, out=block)
             else:
                 np.exp(block, out=block)
-            if weights is None:
-                gram[a : a + per_block] += block.sum(axis=(1, 2))
-            else:
-                gram[a : a + per_block] += (block @ weights) @ weights[r : r + rows]
+            gram[a : a + per_block] += block.sum(axis=(1, 2))
     return gram
 
 
-def mmd_sq_stack(stack: np.ndarray, kernel: PowerSeriesKernel, weights=None) -> np.ndarray:
+def mmd_sq_stack(stack: np.ndarray, kernel: PowerSeriesKernel) -> np.ndarray:
     """Squared MMD of each (n, d) sample of an (m, n, d) stack against the
-    uniform d-disk: ``mmd_sq_vs_uniform_disk`` of every sample at once;
-    ``weights`` (length n, shared by the stack) weight the points.
+    uniform d-disk: ``mmd_sq_vs_uniform_disk`` of every sample at once.  A
+    sample's value does not depend on the other samples of the stack.
 
     The Gram term equals the closed form to float64 rounding.  At d = 1 with
     n >= 4T (T = ``series_terms(kernel)``, 25 for expdot(2), 57 for
@@ -260,24 +248,17 @@ def mmd_sq_stack(stack: np.ndarray, kernel: PowerSeriesKernel, weights=None) -> 
         sq_norms = np.minimum(sq_norms, 1.0)
 
     if d == 1 and n >= _POWER_SUM_RATIO * series_terms(kernel):
-        gram = _power_sum_gram(stack[:, :, 0], _series_coefficients(kernel), weights)
+        gram = _power_sum_gram(stack[:, :, 0], _series_coefficients(kernel))
     else:
-        gram = _closed_form_gram(stack, sq_norms, kernel, weights)
+        gram = _closed_form_gram(stack, kernel)
 
     coeffs, disk_total = _disk_series(kernel, d)
     poly = np.full_like(sq_norms, coeffs[-1])
     for c in coeffs[-2::-1]:
         poly *= sq_norms
         poly += c
-    if weights is None:
-        gram /= n * n
-        sample = poly.mean(axis=1)
-    else:
-        total = weights.sum()
-        gram /= total * total
-        sample = (poly @ weights) / total
-
-    value = gram + (disk_total - 2.0 * sample)
+    gram /= n * n
+    value = gram + (disk_total - 2.0 * poly.mean(axis=1))
     worst = value.min()
     if worst < NEGATIVE_CLAMP:
         raise RuntimeError(
@@ -286,16 +267,14 @@ def mmd_sq_stack(stack: np.ndarray, kernel: PowerSeriesKernel, weights=None) -> 
     return np.maximum(value, 0.0)
 
 
-def mmd_sq_vs_uniform_disk(points, kernel: PowerSeriesKernel, weights=None) -> float:
+def mmd_sq_vs_uniform_disk(points, kernel: PowerSeriesKernel) -> float:
     """Squared MMD between the empirical measure of ``points`` and the uniform
     distribution on the unit d-disk, d = number of columns.
 
-    With ``weights`` the empirical measure puts mass proportional to
-    ``weights[i]`` on ``points[i]``; integer weights give the same value as
-    repeating each point that many times.  The Gram term equals the closed
-    form of the kernel to float64 rounding; the disk series is truncated at
-    ``kernel.order``.  Cost O(n^2 d + n * order), or O(n * (T + order)) for
-    a large one-dimensional sample (see ``mmd_sq_stack``).
+    The Gram term equals the closed form of the kernel to float64 rounding;
+    the disk series is truncated at ``kernel.order``.  Cost
+    O(n^2 d + n * order), or O(n * (T + order)) for a large one-dimensional
+    sample (see ``mmd_sq_stack``).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -305,13 +284,7 @@ def mmd_sq_vs_uniform_disk(points, kernel: PowerSeriesKernel, weights=None) -> f
         raise ValueError("empty sample")
     if d == 0:
         raise ValueError("points must have at least one coordinate")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (n,):
-            raise ValueError("weights must have one entry per point")
-        if not np.all(np.isfinite(weights)) or np.any(weights < 0) or weights.sum() <= 0:
-            raise ValueError("weights must be finite, nonnegative and not all zero")
-    return float(mmd_sq_stack(pts[None], kernel, weights)[0])
+    return float(mmd_sq_stack(pts[None], kernel)[0])
 
 
 def expected_mmd_sq(kernel: PowerSeriesKernel, d: int, n: int) -> float:

@@ -48,14 +48,13 @@ def supc(p_values, thresholds=SUPC_THRESHOLDS) -> float:
 
 def upup(p_values, kernel: PowerSeriesKernel, nulls: NullCache) -> tuple[float, float]:
     """Uniformity test of the p-values themselves: map (0, 1] onto the unit
-    1-disk by t -> 2t - 1 and score against the d = 1 null."""
+    1-disk by t -> 2t - 1 and score against the d = 1 null.  The statistic
+    is n times the squared MMD; its Gram term is summed from power sums once
+    n >= 4T (see ``mmd_sq_stack``), at cost O(nT)."""
     p = np.asarray(p_values, dtype=float)
     if p.size < UPUP_MIN_VALUES:
         raise ValueError(f"need at least {UPUP_MIN_VALUES} p-values")
-    # Many p-values repeat (a null table has finitely many levels), so the
-    # Gram runs over the distinct values, each weighted by its count.
-    values, counts = np.unique(2.0 * p - 1.0, return_counts=True)
-    mmd = mmd_sq_vs_uniform_disk(values.reshape(-1, 1), kernel, counts)
+    mmd = mmd_sq_vs_uniform_disk((2.0 * p - 1.0).reshape(-1, 1), kernel)
     table = nulls.get(1, kernel)
     return p.size * mmd, p_value(table, p.size, mmd)
 

@@ -77,10 +77,6 @@ class UniformityResult:
     mmd: float | None = None
     p_value: float | None = None
 
-    @property
-    def missing(self) -> bool:
-        return self.p_value is None
-
 
 def uniformity_test(
     cloud,

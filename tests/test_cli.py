@@ -223,11 +223,21 @@ def test_config_file_fills_missing_flags(tmp_path, disk_csv, null_cache):
     assert out_cfg.read_text() == out_flags.read_text()
 
 
-def test_threads_flag_is_usage_error(tmp_path, disk_csv, capsys):
+@pytest.mark.parametrize("argv", [
+    ["detect", "--radius", "0.4", "--threads", "2"],
+    # auto tunes these instead of reading them
+    ["auto", "--radius", "0.1"],
+    ["auto", "--knn", "10"],
+    ["auto", "--eta", "0.9"],
+    ["auto", "--alpha", "0.7"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_unregistered_flag_is_usage_error(tmp_path, disk_csv, capsys, argv):
     with pytest.raises(SystemExit) as info:
-        main(_detect_args(disk_csv, tmp_path / "o.csv", tmp_path / "nulls", ["--threads", "2"]))
+        main([*argv, "--input", str(disk_csv), "--output", str(tmp_path / "o.csv"),
+              "--null-dir", str(tmp_path / "nulls")])
     assert info.value.code == 2
-    assert "--threads" in capsys.readouterr().err
+    assert argv[-2] in capsys.readouterr().err
+    assert not (tmp_path / "nulls").exists()
 
 
 def test_missing_input_file_is_exit_2(tmp_path, capsys):

@@ -224,22 +224,16 @@ def test_large_sample_mmd_near_expected():
     assert abs(draws.mean() - expected) < 4.0 * se / math.sqrt(len(draws))
 
 
-def _oracle_mmd_sq(pts, kern, weights=None):
-    """The squared MMD from its definition, one Gram row at a time: the
-    weighted mean of kappa(x_i . x_j) over all pairs (inner products clipped
-    to [-1, 1]), minus twice the sample's mean of the disk series in
-    ||x_i||^2, plus the series' disk total."""
+def _oracle_mmd_sq(pts, kern):
+    """The squared MMD from its definition, one Gram row at a time: the mean
+    of kappa(x_i . x_j) over all pairs, minus twice the sample's mean of the
+    disk series in ||x_i||^2, plus the series' disk total."""
     n, d = pts.shape
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    w = w / w.sum()
-    gram = math.fsum(
-        w[i] * math.fsum(w * kern.closed_form(np.clip(pts @ pts[i], -1.0, 1.0)))
-        for i in range(n)
-    )
+    gram = math.fsum(math.fsum(kern.closed_form(pts @ pts[i])) for i in range(n)) / n**2
     ks = np.arange(kern.order + 1)
     coeffs = kern.coefficients(2 * ks) * beta_coeff(d, ks)
     sq = np.einsum("ij,ij->i", pts, pts)
-    sample = math.fsum(w * (sq[:, None] ** ks[None, :] @ coeffs))
+    sample = math.fsum(sq[:, None] ** ks[None, :] @ coeffs) / n
     disk = math.fsum(coeffs * d / (d + 2.0 * ks))
     return gram + disk - 2.0 * sample
 
@@ -263,21 +257,29 @@ ORACLE_KERNELS = [
 @pytest.mark.parametrize("kern", ORACLE_KERNELS, ids=lambda k: f"{k.kind}{k.param}")
 @pytest.mark.parametrize("d", [1, 2, 3, 6])
 def test_mmd_sq_stack_matches_pairwise_oracle(kern, d):
-    # 11 samples of 40 points: two blocks of several samples each.  The scale
-    # folded into the Gram operand is exact only for powers of two, hence the
-    # tolerance; the clamp path (a point at norm exactly 1) keeps the order
-    # clip, then scale.
+    # 11 samples of 40 points, one of them with a point at norm exactly 1.
+    # The scale folded into the Gram operand is exact only for powers of
+    # two, hence the tolerance.
     rng = np.random.default_rng(100 * d + int(10 * kern.param))
     stack = _off_center_stack(rng, 11, 40, d)
-    weights = rng.integers(1, 6, size=40).astype(float)
-    clamped = stack.copy()
-    clamped[3, 7] = 0.0
-    clamped[3, 7, 0] = 1.0
-    for sample in (stack, clamped):
-        for w in (None, weights):
-            got = mmd_sq_stack(sample, kern, w)
-            want = [_oracle_mmd_sq(pts, kern, w) for pts in sample]
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    boundary = stack.copy()
+    boundary[3, 7] = 0.0
+    boundary[3, 7, 0] = 1.0
+    for sample in (stack, boundary):
+        got = mmd_sq_stack(sample, kern)
+        want = [_oracle_mmd_sq(pts, kern) for pts in sample]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_a_sample_scores_the_same_in_any_stack():
+    # Every eighth sample holds a point at norm exactly 1, so a block of
+    # samples mixes boundary points with interior ones.
+    kern = PowerSeriesKernel("geometric", 0.3)
+    stack = _off_center_stack(np.random.default_rng(11), 400, 40, 3)
+    stack[::8, 0] = 0.0
+    stack[::8, 0, 1] = 1.0
+    alone = np.array([mmd_sq_stack(pts[None], kern)[0] for pts in stack])
+    assert np.array_equal(mmd_sq_stack(stack, kern), alone)
 
 
 POWER_SUM_KERNELS = [PowerSeriesKernel("geometric", 0.7), PowerSeriesKernel("expdot", 2.0)]
@@ -291,17 +293,16 @@ def test_mmd_sq_stack_power_sums_match_pairwise_oracle(kern, monkeypatch):
     assert n >= 4 * series_terms(kern)
     rng = np.random.default_rng(int(10 * kern.param))
     stack = _off_center_stack(rng, 3, n, 1)
-    weights = rng.integers(1, 6, size=n).astype(float)
     edge = stack.copy()
     edge[1, 5, 0] = 1.0
     edge[2, 9, 0] = -1.0
-    cases = [(sample, w) for sample in (stack, edge) for w in (None, weights)]
-    wants = [[_oracle_mmd_sq(pts, kern, w) for pts in sample] for sample, w in cases]
-    for (sample, w), want in zip(cases, wants):
-        np.testing.assert_allclose(mmd_sq_stack(sample, kern, w), want, rtol=1e-12, atol=0)
+    cases = (stack, edge)
+    wants = [[_oracle_mmd_sq(pts, kern) for pts in sample] for sample in cases]
+    for sample, want in zip(cases, wants):
+        np.testing.assert_allclose(mmd_sq_stack(sample, kern), want, rtol=1e-12, atol=0)
     monkeypatch.setattr("singscan.kernels._POWER_SUM_RATIO", 10**9)
-    for (sample, w), want in zip(cases, wants):
-        np.testing.assert_allclose(mmd_sq_stack(sample, kern, w), want, rtol=1e-12, atol=0)
+    for sample, want in zip(cases, wants):
+        np.testing.assert_allclose(mmd_sq_stack(sample, kern), want, rtol=1e-12, atol=0)
 
 
 def test_point_just_outside_the_disk_scores_as_on_its_boundary(monkeypatch):
@@ -328,15 +329,12 @@ def test_power_sum_gram_is_exact_to_rounding(kern):
     rng = np.random.default_rng(7)
     for _ in range(3):
         x = sample_uniform_ball(1, 500, rng)
-        w = rng.integers(1, 6, size=500).astype(float)
-        entries = kern.closed_form(np.outer(x[:, 0], x[:, 0]))
-        for weights in (None, w):
-            exact = math.fsum((entries if weights is None else
-                               entries * np.outer(weights, weights)).ravel())
-            power = _power_sum_gram(x.T, _series_coefficients(kern), weights)[0]
-            gram = _closed_form_gram(x[None], x.T**2, kern, weights)[0]
-            assert abs(power - exact) <= 2e-15 * exact
-            assert abs(gram - exact) <= 2e-15 * exact
+        rng.integers(1, 6, size=500)  # discarded: keeps the samples the bound was set on
+        exact = math.fsum(kern.closed_form(np.outer(x[:, 0], x[:, 0])).ravel())
+        power = _power_sum_gram(x.T, _series_coefficients(kern))[0]
+        gram = _closed_form_gram(x[None], kern)[0]
+        assert abs(power - exact) <= 2e-15 * exact
+        assert abs(gram - exact) <= 2e-15 * exact
 
 
 def _tail_bound(kern, terms):
@@ -375,7 +373,5 @@ def test_mmd_sq_stack_row_blocks_match_oracle(kern):
     rng = np.random.default_rng(5)
     pts = _off_center_stack(rng, 1, 2100, 2)
     assert 8 * 2100**2 > BLOCK_BYTES
-    weights = rng.integers(1, 4, size=2100).astype(float)
-    for w in (None, weights):
-        got = mmd_sq_stack(pts, kern, w)[0]
-        assert got == pytest.approx(_oracle_mmd_sq(pts[0], kern, w), rel=1e-12, abs=0)
+    got = mmd_sq_stack(pts, kern)[0]
+    assert got == pytest.approx(_oracle_mmd_sq(pts[0], kern), rel=1e-12, abs=0)

@@ -66,7 +66,6 @@ def test_crossing_point_strongly_rejected(null_cache):
 def test_tiny_neighborhood_reports_missing(null_cache):
     cloud = np.vstack([np.zeros(2), sample_uniform_ball(2, 5, np.random.default_rng(0))])
     res = uniformity_test(cloud, 0, Hyperparams(Radius(2.0), 0.8, KERN), null_cache)
-    assert res.missing
     assert res.k_obs == 5
     assert res.d_hat is None and res.mmd is None and res.p_value is None
 
@@ -315,10 +314,10 @@ def test_configurations_fail_per_kernel(null_cache, monkeypatch):
 
     real = uniformity.mmd_sq_stack
 
-    def failing(stack, kernel, weights=None):
+    def failing(stack, kernel):
         if kernel.param == 0.7:
             raise RuntimeError("kernel 0.7 fails")
-        return real(stack, kernel, weights)
+        return real(stack, kernel)
 
     monkeypatch.setattr(uniformity, "mmd_sq_stack", failing)
     cloud = _disk_cloud(300, 46)
