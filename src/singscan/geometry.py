@@ -28,9 +28,15 @@ BLOCK_BYTES = 32 * 2**20
 # Size of a block of small matrices worked on at once, so that it stays in
 # cache: small Gram matrices of the MMD and of the local PCA, power sums.
 CACHE_BYTES = 2**20
-# Bytes one neighbor costs while a chunk of ball queries is gathered (Python
-# list entry, flat index, query index, difference vector and distance).
-_BYTES_PER_MEMBER = 128
+# Bytes one neighbor costs while a chunk of KD-tree queries is gathered.
+# Radius queries gather arrays.  Over a chunk of 2,500 queries of about 117
+# neighbors, the tree's pair records take 43 B per neighbor in RSS (24 B
+# each, plus the growth of their vector), which tracemalloc does not see;
+# tracemalloc puts the sort key, masks and indices alive beside them at
+# 24 B more.  k-NN queries gather a Python list entry per neighbor on top of
+# arrays, and difference blocks of ``_pair_dist`` for every candidate.
+_BYTES_PER_MEMBER = 80
+_BYTES_PER_LISTED_MEMBER = 128
 
 
 def as_point_cloud(coords) -> np.ndarray:
@@ -120,16 +126,16 @@ class NeighborIndex:
         ((_, members, dists),) = self.knn_members_batch([i], k)
         return members[0], dists[0]
 
-    def _chunks(self, queries: np.ndarray, members):
+    def _chunks(self, queries: np.ndarray, members, member_bytes: int):
         """Consecutive slices of ``queries`` whose neighbor gathering stays
         within about BLOCK_BYTES.  Brute force holds a distance row per query
         twice (distances and the partitioned copy that finds the k-th
         nearest); a KD-tree chunk holds ``members`` (per query, or one count
-        for all) gathered neighbors per query."""
+        for all) gathered neighbors per query at ``member_bytes`` each."""
         if self._brute:
             cost = np.full(len(queries), 16 * self.n)
         else:
-            cost = _BYTES_PER_MEMBER * (np.broadcast_to(members, len(queries)) + 1)
+            cost = member_bytes * (np.broadcast_to(members, len(queries)) + 1)
         ends = np.cumsum(cost)
         start = 0
         while start < len(queries):
@@ -151,6 +157,25 @@ class NeighborIndex:
         keep = cand != chunk[owner]
         owner, cand = owner[keep], cand[keep]
         return owner, cand, self._pair_dist(chunk[owner], cand)
+
+    def _tree_ball(self, chunk: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """Members of the ball of radius r around each query of a chunk,
+        flattened: (query position, member index), in query order then
+        ascending index.  The KD-tree pairs the chunk with the cloud as one
+        array; a tree distance farther from r than its rounding decides
+        alone, and the others are decided by ``_pair_dist``."""
+        pairs = cKDTree(self.coords[chunk]).sparse_distance_matrix(
+            self._tree, r, output_type="ndarray"
+        )
+        owner, cand = pairs["i"], pairs["j"]
+        inside = cand != chunk[owner]
+        near = np.flatnonzero(pairs["v"] >= r * (1 - self._tol))
+        inside[near] &= self._pair_dist(chunk[owner[near]], cand[near]) < r
+        key = owner[inside] * self.n
+        key += cand[inside]
+        del pairs, owner, cand, inside
+        key.sort()
+        return np.divmod(key, self.n)
 
     def _brute_inside(self, chunk: np.ndarray, r: float) -> np.ndarray:
         """(c, n) mask of the points j != q with ||x_j - x_q|| < r for each
@@ -184,19 +209,25 @@ class NeighborIndex:
     def radius_members_batch(self, queries, r: float):
         """Members j != q with ||x_j - x_q|| < r (strict) of every query point
         q, in chunks: yields (chunk of queries, member counts, members
-        flattened in query order, each query's ascending)."""
+        flattened in chunk order, each query's ascending).
+
+        The chunks hold every query once.  Brute-force chunks come in query
+        order.  KD-tree chunks come in ascending order of ball count (the
+        members plus the query itself, as the tree counts them before
+        chunking), with ties in query order, so that neighborhoods of one
+        size arrive together."""
         queries = np.asarray(queries, dtype=np.intp)
         counted = None
         if not self._brute:
             # Counted first, so that no chunk gathers more than its budget.
             counted = self._tree.query_ball_point(self.coords[queries], r, return_length=True)
-        for chunk in self._chunks(queries, counted):
+            order = np.argsort(counted, kind="stable")
+            queries, counted = queries[order], counted[order]
+        for chunk in self._chunks(queries, counted, _BYTES_PER_MEMBER):
             if self._brute:
                 owner, members = np.nonzero(self._brute_inside(chunk, r))
             else:
-                owner, members, dist = self._tree_candidates(chunk, r)
-                inside = dist < r
-                owner, members = owner[inside], members[inside]
+                owner, members = self._tree_ball(chunk, r)
             yield chunk, np.bincount(owner, minlength=len(chunk)), members
 
     def knn_members_batch(self, queries, k: int):
@@ -206,7 +237,7 @@ class NeighborIndex:
         if not 1 <= k <= self.n - 1:
             raise ValueError("k must satisfy 1 <= k <= n - 1")
         queries = np.asarray(queries, dtype=np.intp)
-        for chunk in self._chunks(queries, k + 1):
+        for chunk in self._chunks(queries, k + 1, _BYTES_PER_LISTED_MEMBER):
             if self._brute:
                 owner, cand, dist = self._brute_knn_candidates(chunk, k)
             else:
@@ -291,7 +322,8 @@ def local_pca_stack(stack: np.ndarray, etas) -> tuple[np.ndarray, np.ndarray]:
     largest d_hat (d_hat grows with eta).
 
     With k >= D one stacked SVD gives the axes, and the coordinates are the
-    rescaled points times them.  With k < D the k x k Gram X X^T is smaller:
+    rescaled points times them, taken as wide as the neighborhood's largest
+    d_hat.  With k < D the k x k Gram X X^T is smaller:
     its eigenvalues are the squared singular values, and since X V = U S the
     coordinates are the eigenvectors times the square roots of their
     eigenvalues, X V up to the sign of each column, which no dot-product
@@ -303,8 +335,15 @@ def local_pca_stack(stack: np.ndarray, etas) -> tuple[np.ndarray, np.ndarray]:
     if k >= dim:
         _, s, vt = np.linalg.svd(stack, full_matrices=False)
         d_hat = np.array([estimate_dim(s**2 / k, eta) for eta in etas])
-        # A contiguous operand keeps the stacked matmul on BLAS.
-        return d_hat, stack @ vt[:, : d_hat.max()].transpose(0, 2, 1).copy()
+        # One matmul per width: BLAS rounds a product by its width, so a
+        # neighborhood is projected at its own, whatever its stack holds.
+        width = d_hat.max(axis=0)
+        projected = np.zeros((m, k, width.max()))
+        for w in np.unique(width):
+            sel = np.flatnonzero(width == w)
+            # A contiguous operand keeps the stacked matmul on BLAS.
+            projected[sel, :, :w] = stack[sel] @ vt[sel, :w].transpose(0, 2, 1).copy()
+        return d_hat, projected
     d_hat = np.empty((len(etas), m), dtype=np.intp)
     leading = []
     per_block = max(1, CACHE_BYTES // (8 * k * k))

@@ -141,11 +141,14 @@ def _mmd_columns(coords: np.ndarray, queries: np.ndarray, neighborhood: Radius |
     where the neighborhood was too small to test, and the exception of each
     kernel (by position) whose MMD failed.
 
-    Neighborhoods are gathered in chunks and grouped by size into stacks of
-    at most about BLOCK_BYTES.  ``local_pca_stack`` gives each neighborhood
-    of a stack its d_hat under every eta and its coordinates on the leading
-    principal axes, and the MMD of a neighborhood at dimension d is taken on
-    its first d coordinates.
+    Neighborhoods are gathered in chunks, which come in ascending order of
+    size from the KD-tree radius query and in query order otherwise, and
+    grouped by size into stacks of at most about BLOCK_BYTES; each result
+    is written at its query's position.  ``local_pca_stack`` gives each
+    neighborhood of a stack its d_hat under every eta and its coordinates
+    on the leading principal axes, and the MMD of a neighborhood at
+    dimension d is taken on its first d coordinates.  Neither depends on
+    the other neighborhoods of the stack, so neither does the order.
     """
     dim = coords.shape[1]
     m = len(queries)
@@ -153,10 +156,11 @@ def _mmd_columns(coords: np.ndarray, queries: np.ndarray, neighborhood: Radius |
     d_hat = np.full((len(etas), m), np.nan)
     mmd = np.full((len(kernels), len(etas), m), np.nan)
     failed: dict[int, Exception] = {}
-    done = 0
     index = NeighborIndex(coords)
     for chunk, counts, members, scales in _neighborhood_chunks(index, queries, neighborhood):
-        k_obs[done : done + len(chunk)] = counts
+        # Queries are ascending, so this is each chunk query's position.
+        at = np.searchsorted(queries, chunk)
+        k_obs[at] = counts
         starts = np.cumsum(counts) - counts
         for k in np.unique(counts[counts >= MIN_NEIGHBORHOOD]):
             group = np.flatnonzero(counts == k)
@@ -169,7 +173,7 @@ def _mmd_columns(coords: np.ndarray, queries: np.ndarray, neighborhood: Radius |
                 # the center; those neighborhoods rescale to zeros.
                 stack /= np.where(scales[sel] > 0, scales[sel], np.inf)[:, None, None]
                 dims, projected = local_pca_stack(stack, etas)
-                d_hat[:, done + sel] = dims
+                d_hat[:, at[sel]] = dims
                 for d in np.unique(dims):
                     rows = np.flatnonzero((dims == d).any(axis=0))
                     for j, kernel in enumerate(kernels):
@@ -182,8 +186,7 @@ def _mmd_columns(coords: np.ndarray, queries: np.ndarray, neighborhood: Radius |
                             continue
                         for e in range(len(etas)):
                             hit = dims[e, rows] == d
-                            mmd[j, e, done + sel[rows[hit]]] = values[hit]
-        done += len(chunk)
+                            mmd[j, e, at[sel[rows[hit]]]] = values[hit]
     return k_obs, d_hat, mmd, failed
 
 

@@ -115,12 +115,20 @@ def test_batch_queries_match_numpy_oracle(case, brute, monkeypatch):
     queries = np.random.default_rng(5).permutation(n)
     for r in radii:
         parts = list(index.radius_members_batch(queries, r))
-        assert np.array_equal(np.concatenate([c for c, _, _ in parts]), queries)
+        order = np.concatenate([c for c, _, _ in parts])
+        assert np.array_equal(np.sort(order), np.arange(n))
+        if brute:
+            assert np.array_equal(order, queries)
+        else:
+            # Ascending ball count (the tree counts the query itself and
+            # the boundary), ties in query order.
+            balls = (dist[queries] <= r).sum(axis=1) + 1
+            assert np.array_equal(order, queries[np.argsort(balls, kind="stable")])
         got = np.split(
             np.concatenate([m for _, _, m in parts]),
             np.cumsum(np.concatenate([k for _, k, _ in parts]))[:-1],
         )
-        for q, members in zip(queries, got):
+        for q, members in zip(order, got):
             assert np.array_equal(members, np.flatnonzero(dist[q] < r))
     for k in ks:
         parts = list(index.knn_members_batch(queries, k))
@@ -257,6 +265,27 @@ def test_local_pca_stack_rejects_a_zero_neighborhood(k, dim):
         local_pca(stack[1], 0.8)
     with pytest.raises(ValueError, match="degenerate neighborhood"):
         local_pca_stack(stack, (0.8,))
+
+
+@pytest.mark.parametrize("k, dim", [(40, 3), (20, 60)], ids=["svd", "gram"])
+def test_local_pca_stack_does_not_depend_on_the_stack(k, dim):
+    # Stacks of three neighborhoods with d_hat 1, 2 and 3 at eta 0.95: each
+    # neighborhood's d_hat and coordinates are the same bits as when it is
+    # decomposed alone.
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        basis, _ = np.linalg.qr(rng.standard_normal((dim, 3)))
+        stack = np.stack([
+            sample_uniform_ball(3, k, rng) * spread @ basis.T
+            for spread in ([1.0, 0.02, 0.02], [1.0, 1.0, 0.02], [1.0, 1.0, 1.0])
+        ])
+        d_hat, projected = local_pca_stack(stack, (0.95,))
+        assert d_hat[0].tolist() == [1, 2, 3]
+        for j, pts in enumerate(stack):
+            alone_d, alone = local_pca_stack(pts[None], (0.95,))
+            assert alone_d[0, 0] == d_hat[0, j]
+            d = alone_d[0, 0]
+            assert np.array_equal(projected[j, :, :d], alone[0, :, :d])
 
 
 def test_flat_sample_dimension_recovery():

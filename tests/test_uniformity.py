@@ -226,6 +226,28 @@ def test_batched_radius_matches_per_point_oracle(null_cache):
     assert np.array_equal([nan(r.p_value) for r in rows], cols.p_value, equal_nan=True)
 
 
+def test_batched_radius_on_uneven_density_matches_per_point_oracle(null_cache, monkeypatch):
+    # A dense blob on a sparse background, both in a plane of R^3, with a
+    # small block budget: ball counts run from a few to hundreds, the
+    # size-ordered chunks are many, and neighborhoods of one size fall in
+    # several chunks and stacks.
+    monkeypatch.setattr("singscan.geometry.BLOCK_BYTES", 2**16)
+    monkeypatch.setattr("singscan.uniformity.BLOCK_BYTES", 2**16)
+    rng = np.random.default_rng(48)
+    background = rng.uniform(-2, 2, size=(1000, 2))
+    blob = 0.2 * rng.standard_normal((600, 2))
+    cloud = np.column_stack([np.vstack([background, blob]), 0.01 * rng.standard_normal(1600)])
+    params = Hyperparams(Radius(0.2), 0.8, KERN)
+    r = params.neighborhood.r
+    chunks = list(NeighborIndex(cloud).radius_members_batch(np.arange(len(cloud)), r))
+    sizes = [set(counts.tolist()) for _, counts, _ in chunks]
+    assert any(a & b for a, b in zip(sizes, sizes[1:]))
+    cols = score_columns(cloud, params, null_cache)
+    oracle = _oracle_columns(cloud, params, null_cache, range(len(cloud)))
+    assert np.sum(oracle[0] < 10) > 0 and oracle[0].max() > 200
+    _assert_matches_oracle(cols, oracle)
+
+
 def test_batched_knn_high_dimension_matches_per_point_oracle(null_cache):
     # The image shape, 60 x 100 neighborhoods: k < D takes the Gram branch of
     # local_pca_stack.
