@@ -85,7 +85,10 @@ def build_null(
 
     Sample i is drawn from the i-th child spawned from ``rng``; the samples
     are stacked in chunks of about BLOCK_BYTES, one ``mmd_sq_stack`` call per
-    chunk, and each value does not depend on the chunking.
+    chunk, and each value does not depend on the chunking.  At d = 1 a
+    sample's Gram comes from power sums when n_ref >= 4T; otherwise, and at
+    every d >= 2, from the closed form of its upper block-triangle in row
+    blocks of about CACHE_BYTES, which is most of the cost of a build.
     """
     if n_ref < MIN_N_REF:
         raise ValueError(f"n_ref must be >= {MIN_N_REF}")

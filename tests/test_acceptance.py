@@ -209,19 +209,18 @@ def test_criterion_09_complexity_trend(null_cache):
     kern = PowerSeriesKernel("geometric", 0.5)
     params = Hyperparams(Radius(r), 0.8, kern)
 
-    def timed(dim):
-        cloud = np.hstack([base, np.zeros((2000, dim - 2))])
+    clouds = {dim: np.hstack([base, np.zeros((2000, dim - 2))]) for dim in (50, 200)}
+    for cloud in clouds.values():
         singularity_scores(cloud, params, null_cache)  # warm tables and caches
-        best = math.inf
-        for _ in range(2):
+    # Alternating rounds, min of 3 each: a burst of load on a shared machine
+    # then slows a round of both dimensions, not every round of one.
+    best = dict.fromkeys(clouds, math.inf)
+    for _ in range(3):
+        for dim, cloud in clouds.items():
             t0 = time.perf_counter()
             singularity_scores(cloud, params, null_cache)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    t50 = timed(50)
-    t200 = timed(200)
-    ratio = t200 / t50
+            best[dim] = min(best[dim], time.perf_counter() - t0)
+    ratio = best[200] / best[50]
     _report(9, 2.0 <= ratio <= 6.0, f"4x ambient dim -> wall-time ratio {ratio:.2f} (in [2, 6])")
 
 

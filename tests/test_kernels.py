@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,8 +13,9 @@ from singscan import (
     mmd_sq_vs_uniform_disk,
     sample_uniform_ball,
 )
-from singscan.geometry import BLOCK_BYTES
+from singscan.geometry import CACHE_BYTES
 from singscan.kernels import (
+    _GRAM_ROWS,
     _closed_form_gram,
     _power_sum_gram,
     _series_coefficients,
@@ -368,10 +370,76 @@ def test_series_terms_is_the_fewest_within_the_tail_bound(kind, param, expected)
 
 @pytest.mark.parametrize("kern", [ORACLE_KERNELS[0], ORACLE_KERNELS[2]], ids=lambda k: k.kind)
 def test_mmd_sq_stack_row_blocks_match_oracle(kern):
-    # n = 2100: an 8 n^2-byte Gram exceeds BLOCK_BYTES, so the one sample is
-    # summed in row blocks.
+    # n = 2100: one row block of _GRAM_ROWS rows takes more than half of
+    # CACHE_BYTES, so each block holds this one sample, and the last of its
+    # 66 row blocks is a partial one.
     rng = np.random.default_rng(5)
     pts = _off_center_stack(rng, 1, 2100, 2)
-    assert 8 * 2100**2 > BLOCK_BYTES
+    assert CACHE_BYTES // (8 * _GRAM_ROWS * 2100) == 1 and 2100 % _GRAM_ROWS != 0
     got = mmd_sq_stack(pts, kern)[0]
     assert got == pytest.approx(_oracle_mmd_sq(pts[0], kern), rel=1e-12, abs=0)
+
+
+def _mixed_stack(rng, m, n, d):
+    """m samples of n points: uniform on the disk, every third one shrunk and
+    shifted off the origin, every fourth from the second on holding a point
+    at norm exactly 1."""
+    stack = np.stack([sample_uniform_ball(d, n, rng) for _ in range(m)])
+    stack[::3] *= 0.6
+    stack[::3, :, 0] += 0.3
+    stack[1::4, 0] = 0.0
+    stack[1::4, 0, 0] = 1.0
+    return stack
+
+
+# Around one row block of _GRAM_ROWS = 32 rows, two blocks plus a row, and a
+# null-table sample.
+GRAM_EDGE_SIZES = [1, 31, 32, 33, 65, 500]
+GRAM_EDGE_KERNELS = [PowerSeriesKernel("geometric", 0.5), PowerSeriesKernel("expdot", 2.0)]
+
+
+@pytest.mark.parametrize("kern", GRAM_EDGE_KERNELS, ids=lambda k: k.kind)
+@pytest.mark.parametrize("d", [1, 2, 6])
+@pytest.mark.parametrize("n", GRAM_EDGE_SIZES)
+def test_closed_form_gram_matches_exact_sum_at_block_edges(n, d, kern):
+    # The correctly rounded sum of all n^2 closed-form entries, upper and
+    # lower triangle alike.
+    stack = _mixed_stack(np.random.default_rng(1000 * d + n), 4, n, d)
+    for got, pts in zip(_closed_form_gram(stack, kern), stack):
+        exact = math.fsum(kern.closed_form(pts @ pts.T).ravel())
+        assert abs(got - exact) <= 2e-15 * exact
+
+
+@pytest.mark.parametrize("kern", GRAM_EDGE_KERNELS, ids=lambda k: k.kind)
+def test_closed_form_gram_of_a_long_sample_matches_exact_sum(kern):
+    # n = 4200: a block of 32 rows would exceed CACHE_BYTES, so the rows of a
+    # block shrink to 31, and 136 blocks add up.
+    n = 4200
+    assert CACHE_BYTES // (8 * n) == _GRAM_ROWS - 1
+    pts = _mixed_stack(np.random.default_rng(42), 2, n, 2)[1]
+    rows = (kern.closed_form(pts[i : i + 100] @ pts.T).ravel() for i in range(0, n, 100))
+    exact = math.fsum(itertools.chain.from_iterable(rows))
+    got = _closed_form_gram(pts[None], kern)[0]
+    assert abs(got - exact) <= 2e-15 * exact
+
+
+def test_closed_form_gram_adds_its_row_blocks_as_if_rounded_once():
+    # 60 null-table samples of 500 points, 16 row blocks each.  Added
+    # plainly, the blocks' totals drift from the correctly rounded sum by
+    # 0.87 ulp on average and up to 3; compensated, by 0.17 and at most 1.
+    kern = PowerSeriesKernel("geometric", 0.5)
+    rng = np.random.default_rng(12)
+    stack = np.stack([sample_uniform_ball(2, 500, rng) for _ in range(60)])
+    exact = np.array([math.fsum(kern.closed_form(pts @ pts.T).ravel()) for pts in stack])
+    ulps = np.abs(_closed_form_gram(stack, kern) - exact) / np.spacing(exact)
+    assert ulps.max() <= 1.0 and ulps.mean() <= 0.4
+
+
+@pytest.mark.parametrize("kern", GRAM_EDGE_KERNELS, ids=lambda k: k.kind)
+@pytest.mark.parametrize("d", [1, 2, 6])
+@pytest.mark.parametrize("n", GRAM_EDGE_SIZES)
+def test_closed_form_gram_of_a_mixed_stack_is_each_sample_alone(n, d, kern):
+    # 300 samples span several cache blocks of samples for every n above 1.
+    stack = _mixed_stack(np.random.default_rng(7 * d + n), 300, n, d)
+    alone = np.array([_closed_form_gram(pts[None], kern)[0] for pts in stack])
+    assert np.array_equal(_closed_form_gram(stack, kern), alone)
