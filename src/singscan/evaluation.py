@@ -93,10 +93,9 @@ def run_synthetic_suite(
     scale: float = 0.2,
     seed: int = 0,
     nulls: NullCache | None = None,
-    kernel: PowerSeriesKernel = SUITE_KERNEL,
-    eta: float = SUITE_ETA,
 ) -> list[SuiteRow]:
-    """Detection accuracy per dimension for one synthetic family.
+    """Detection accuracy per dimension for one synthetic family, scored
+    under SUITE_KERNEL at eta = SUITE_ETA.
 
     ``scale`` multiplies the sample sizes so the protocol stays desk-sized;
     the radii are untouched, so neighborhood sizes shrink in proportion.  For
@@ -116,8 +115,9 @@ def run_synthetic_suite(
         r_d, n_full = scaled_experiment_params(d, FAMILY_R0[family], FAMILY_N0, FAMILY_GROWTH)
         n = max(1, int(round(n_full * scale)))
         labeled = generate(ShapeSpec(family, n, dim=d, noise_amplitude=0.0, seed=seed))
+        params = Hyperparams(Radius(r_d), SUITE_ETA, SUITE_KERNEL)
         start = time.perf_counter()
-        p = score_columns(labeled.cloud, Hyperparams(Radius(r_d), eta, kernel), nulls).p_value
+        p = score_columns(labeled.cloud, params, nulls).p_value
         seconds = time.perf_counter() - start
         scores = log_inv_p(p)
         labels = ground_truth_labels(labeled, r_d / 2.0)

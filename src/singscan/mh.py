@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import kolmogorov
 
 from .kernels import PowerSeriesKernel, mmd_sq_vs_uniform_disk
 from .nulls import NullCache, p_value
 
 SUPC_THRESHOLDS = (0.005, 0.01, 0.02, 0.05)
 UPUP_MIN_VALUES = 50
-_KS_SERIES_TERMS = 100
 
 
 @dataclass(frozen=True)
@@ -34,14 +34,12 @@ class MhReport:
     upup_p: float | None = None
 
 
-def supc(p_values, thresholds=SUPC_THRESHOLDS) -> float:
-    """max over thresholds q of #{p_i <= q} / (n * q)."""
+def supc(p_values) -> float:
+    """max over the thresholds q of SUPC_THRESHOLDS of #{p_i <= q} / (n * q)."""
     p = np.asarray(p_values, dtype=float)
     if p.size == 0:
         raise ValueError("need at least one p-value")
-    qs = np.asarray(thresholds, dtype=float)
-    if qs.size == 0 or np.any(qs <= 0) or np.any(qs >= 1):
-        raise ValueError("thresholds must lie in (0, 1)")
+    qs = np.asarray(SUPC_THRESHOLDS)
     counts = (p[:, None] <= qs[None, :]).sum(axis=0)
     return float(np.max(counts / (p.size * qs)))
 
@@ -59,18 +57,10 @@ def upup(p_values, kernel: PowerSeriesKernel, nulls: NullCache) -> tuple[float, 
     return p.size * mmd, p_value(table, p.size, mmd)
 
 
-def _kolmogorov_sf(t: float) -> float:
-    """Asymptotic Kolmogorov survival function 2 * sum (-1)^(j-1) exp(-2 j^2 t^2)."""
-    if t <= 1e-8:
-        return 1.0
-    j = np.arange(1, _KS_SERIES_TERMS + 1)
-    total = 2.0 * float(np.sum((-1.0) ** (j - 1) * np.exp(-2.0 * j * j * t * t)))
-    return min(1.0, max(total, 1e-300))
-
-
 def ks_uniform(p_values) -> tuple[float, float]:
-    """One-sample Kolmogorov-Smirnov statistic against uniform on [0, 1] and
-    its asymptotic p-value."""
+    """One-sample Kolmogorov-Smirnov statistic D_n against uniform on [0, 1]
+    and its asymptotic p-value, the Kolmogorov survival function at
+    sqrt(n) D_n, floored at 1e-300."""
     u = np.sort(np.asarray(p_values, dtype=float))
     n = u.size
     if n == 0:
@@ -79,16 +69,13 @@ def ks_uniform(p_values) -> tuple[float, float]:
     d_plus = float(np.max(grid - u))
     d_minus = float(np.max(u - (grid - 1.0 / n)))
     d_n = max(d_plus, d_minus)
-    return d_n, _kolmogorov_sf(np.sqrt(n) * d_n)
+    return d_n, max(float(kolmogorov(np.sqrt(n) * d_n)), 1e-300)
 
 
-def mh_report(
-    p_values,
-    kernel: PowerSeriesKernel | None = None,
-    nulls: NullCache | None = None,
-) -> MhReport:
-    """Run all three tests, SUPC at SUPC_THRESHOLDS, on the non-missing
-    entries of ``p_values``."""
+def mh_report(p_values, kernel: PowerSeriesKernel, nulls: NullCache) -> MhReport:
+    """Run all three tests, SUPC at SUPC_THRESHOLDS and UPUP under ``kernel``
+    against its d = 1 table from ``nulls``, on the non-missing entries of
+    ``p_values``; UPUP needs at least UPUP_MIN_VALUES of them."""
     p = np.asarray(p_values, dtype=float)
     p = p[np.isfinite(p)]
     if p.size == 0:
@@ -96,6 +83,6 @@ def mh_report(
     supc_val = supc(p)
     ks_stat, ks_p = ks_uniform(p)
     upup_stat = upup_p = None
-    if p.size >= UPUP_MIN_VALUES and kernel is not None and nulls is not None:
+    if p.size >= UPUP_MIN_VALUES:
         upup_stat, upup_p = upup(p, kernel, nulls)
     return MhReport(supc_val, ks_stat, ks_p, int(p.size), upup_stat, upup_p)

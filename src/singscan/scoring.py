@@ -20,9 +20,6 @@ from scipy.stats import rankdata
 
 from .geometry import BLOCK_BYTES
 
-CONCAVE_INC = "concave_inc"
-CONVEX_DEC = "convex_dec"
-
 KDE_GRID_SIZE = 512
 KNEE_SENSITIVITY = 1.0
 DISPERSION_NEIGHBORS = 20
@@ -113,11 +110,11 @@ def kde_density(values) -> tuple[np.ndarray, np.ndarray]:
     return grid, density
 
 
-def knee_detect(xs, ys, sensitivity: float = KNEE_SENSITIVITY, shape: str = CONCAVE_INC):
-    """Kneedle-style knee of a curve: normalize both axes to [0, 1], form the
-    difference against the diagonal (orientation per ``shape``), and return
-    the x of the maximal difference if it clears the sensitivity-scaled
-    threshold; None otherwise."""
+def knee_detect(xs, ys):
+    """Kneedle-style knee of a convex decreasing curve: normalize both axes
+    to [0, 1], form the difference (1 - x) - y against the falling diagonal,
+    and return the x of the maximal difference if it clears
+    KNEE_SENSITIVITY times the mean x step; None otherwise."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.size != y.size or x.size < 5:
@@ -128,15 +125,9 @@ def knee_detect(xs, ys, sensitivity: float = KNEE_SENSITIVITY, shape: str = CONC
         return None
     xn = (x - x[0]) / x_span
     yn = (y - y.min()) / y_span
-    if shape == CONCAVE_INC:
-        diff = yn - xn
-    elif shape == CONVEX_DEC:
-        diff = (1.0 - xn) - yn
-    else:
-        raise ValueError(f"unknown knee shape {shape!r}")
+    diff = (1.0 - xn) - yn
     j = int(np.argmax(diff))
-    threshold = sensitivity * float(np.mean(np.diff(xn)))
-    if diff[j] > threshold:
+    if diff[j] > KNEE_SENSITIVITY * float(np.mean(np.diff(xn))):
         return float(x[j])
     return None
 
@@ -161,7 +152,7 @@ def filter_labels(p_values) -> np.ndarray:
     mode = int(np.argmax(density))
     if grid.size - mode < 5:
         return labels
-    knee = knee_detect(grid[mode:], density[mode:], shape=CONVEX_DEC)
+    knee = knee_detect(grid[mode:], density[mode:])
     if knee is None:
         return labels
     labels[scored] = scores[scored] > knee
@@ -175,11 +166,14 @@ def knn_neighbor_sets(points, k: int = DISPERSION_NEIGHBORS) -> np.ndarray:
     k = min(k, n)
     if k < 1:
         raise ValueError("k must be >= 1")
-    _, idx = cKDTree(pts).query(pts, k=k)
-    idx = np.atleast_2d(idx)
-    if idx.shape[0] != n:
-        idx = idx.T
-    idx[:, 0] = np.arange(n)
+    _, idx = cKDTree(pts).query(pts, k=np.arange(1, k + 1))
+    # A duplicate may be listed before the point itself: swap the point into
+    # column 0.  Where the query left it out among more than k copies,
+    # argmax gives column 0 and the point takes the place of a copy.
+    rows = np.arange(n)
+    at = np.argmax(idx == rows[:, None], axis=1)
+    idx[rows, at] = idx[:, 0]
+    idx[:, 0] = rows
     return idx
 
 

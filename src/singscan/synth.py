@@ -310,9 +310,9 @@ def mh_benchmark(
     sample_size: int,
     seed: int = 0,
     instances_per_shape: int = 3,
-    noise_amplitude: float = DEFAULT_NOISE,
 ) -> list[tuple[LabeledCloud, bool]]:
-    """Paired benchmark families for manifold-hypothesis testing.
+    """Paired benchmark families for manifold-hypothesis testing, each cloud
+    with uniform noise of amplitude DEFAULT_NOISE per coordinate.
 
     Manifolds: spheres, ellipsoids, a product of circles, tori.  Stratified
     spaces: unions of two spheres, cones, hollow cubes, unions of three disks.
@@ -324,8 +324,7 @@ def mh_benchmark(
     out: list[tuple[LabeledCloud, bool]] = []
 
     def finish(pts, dist, flag):
-        if noise_amplitude > 0:
-            pts = pts + rng.uniform(-noise_amplitude, noise_amplitude, size=pts.shape)
+        pts = pts + rng.uniform(-DEFAULT_NOISE, DEFAULT_NOISE, size=pts.shape)
         out.append((LabeledCloud(pts, dist), flag))
 
     for _ in range(instances_per_shape):

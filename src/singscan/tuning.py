@@ -21,7 +21,6 @@ from .geometry import NeighborIndex, as_point_cloud
 from .kernels import PowerSeriesKernel
 from .nulls import NullCache
 from .scoring import (
-    CONVEX_DEC,
     DISPERSION_NEIGHBORS,
     dispersion,
     filter_labels,
@@ -161,9 +160,7 @@ def _local_scale_with_dim(
     floor_curve = np.minimum.accumulate(avg)
     knee_col = None
     if len(ladder) >= 5 and float(floor_curve.max() - floor_curve.min()) >= 0.05:
-        pos = knee_detect(
-            np.arange(len(ladder), dtype=float), floor_curve, shape=CONVEX_DEC
-        )
+        pos = knee_detect(np.arange(len(ladder), dtype=float), floor_curve)
         if pos is not None:
             knee_col = int(pos)
     if knee_col is None:

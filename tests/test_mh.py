@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import kolmogorov
 
 from singscan import (
     PowerSeriesKernel,
@@ -12,14 +11,14 @@ from singscan import (
     supc,
     upup,
 )
-from singscan.mh import _kolmogorov_sf
 
 KERN = PowerSeriesKernel("geometric", 0.5)
 
 
 def test_supc_trivial_cases():
-    assert supc(np.ones(100), thresholds=(0.01,)) == 0.0
-    assert supc(np.full(100, 0.001), thresholds=(0.01,)) == pytest.approx(100.0)
+    assert supc(np.ones(100)) == 0.0
+    # Every value is below 0.005, the smallest threshold: 100 / (100 * 0.005).
+    assert supc(np.full(100, 0.001)) == pytest.approx(200.0)
 
 
 def test_supc_uniform_grid_near_one():
@@ -41,8 +40,6 @@ def test_supc_monotone_and_permutation_invariant():
 def test_supc_validation():
     with pytest.raises(ValueError):
         supc([])
-    with pytest.raises(ValueError):
-        supc([0.5], thresholds=(1.5,))
 
 
 def test_upup_calibrated_on_uniform_values(null_cache):
@@ -94,9 +91,12 @@ def test_ks_point_mass_at_zero():
     assert p < 1e-10
 
 
-def test_ks_sf_matches_scipy():
-    for t in (0.3, 0.5, 1.0, 1.5, 2.5):
-        assert _kolmogorov_sf(t) == pytest.approx(float(kolmogorov(t)), rel=1e-8)
+def test_ks_midpoint_grid_is_certainly_uniform():
+    # sqrt(n) D_n = 1 / (2 sqrt(n)) is at most 0.16, where the Kolmogorov
+    # survival function is 1.0 in double precision.
+    for n in (10, 100, 1000):
+        grid = (np.arange(1, n + 1) - 0.5) / n
+        assert ks_uniform(grid)[1] == 1.0
 
 
 def test_ks_calibrated_on_uniform_draws():

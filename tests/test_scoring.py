@@ -17,7 +17,7 @@ from singscan import (
     roc_auc,
     separation,
 )
-from singscan.scoring import CONCAVE_INC, CONVEX_DEC, DAMP_GLOBAL, DAMP_LOCAL
+from singscan.scoring import DAMP_GLOBAL, DAMP_LOCAL
 
 
 def test_log_inv_p_values():
@@ -98,13 +98,14 @@ def test_kde_is_bit_identical_under_permutation():
 
 def test_knee_straight_line_has_none():
     xs = np.linspace(0, 1, 50)
-    assert knee_detect(xs, xs, 1.0, CONCAVE_INC) is None
+    assert knee_detect(xs, 1.0 - xs) is None
 
 
 def test_knee_of_saturating_curve():
     xs = np.linspace(0, 1, 400)
     ys = 1.0 - np.exp(-5.0 * xs)
-    knee = knee_detect(xs, ys, 1.0, CONCAVE_INC)
+    # Mirrored into a convex decreasing curve: the same difference curve.
+    knee = knee_detect(xs, -ys)
     # independent brute-force oracle over the normalized difference curve
     xn = (xs - xs[0]) / (xs[-1] - xs[0])
     yn = (ys - ys.min()) / (ys.max() - ys.min())
@@ -116,22 +117,14 @@ def test_knee_of_saturating_curve():
 def test_knee_convex_decreasing_orientation():
     xs = np.linspace(0, 1, 400)
     ys = np.exp(-5.0 * xs)
-    knee = knee_detect(xs, ys, 1.0, CONVEX_DEC)
+    knee = knee_detect(xs, ys)
     assert knee is not None
     assert abs(knee - 0.32) < 0.05
 
 
-def test_knee_unreachable_sensitivity():
-    xs = np.linspace(0, 1, 100)
-    ys = 1.0 - np.exp(-5.0 * xs)
-    assert knee_detect(xs, ys, 1e9, CONCAVE_INC) is None
-
-
 def test_knee_input_validation():
     with pytest.raises(ValueError):
-        knee_detect([0, 1, 2], [0, 1, 2], 1.0, CONCAVE_INC)
-    with pytest.raises(ValueError):
-        knee_detect(np.arange(6), np.arange(6), 1.0, "sideways")
+        knee_detect([0, 1, 2], [0, 1, 2])
 
 
 def test_filter_uniform_p_values_label_few():
@@ -169,6 +162,22 @@ def test_filter_missing_are_labeled_zero():
 def test_filter_needs_ten_scored():
     with pytest.raises(ValueError):
         filter_labels(np.array([0.5] * 9))
+
+
+def test_knn_neighbor_sets_keep_both_copies_of_a_duplicate():
+    base = np.random.default_rng(7).random((200, 2))
+    pts = np.vstack([base, base])
+    nbrs = knn_neighbor_sets(pts, 5)
+    assert nbrs.shape == (400, 5)
+    assert np.array_equal(nbrs[:, 0], np.arange(400))
+    twin = (np.arange(400) + 200) % 400
+    assert (nbrs == twin[:, None]).any(axis=1).all()
+    assert all(len(set(row)) == 5 for row in nbrs)
+    # More copies than k: the point itself still heads its set.
+    triple = knn_neighbor_sets(np.zeros((3, 2)), 2)
+    assert np.array_equal(triple[:, 0], np.arange(3))
+    assert all(len(set(row)) == 2 for row in triple)
+    assert knn_neighbor_sets(base, 1).shape == (200, 1)
 
 
 def test_purity_examples():
