@@ -32,7 +32,9 @@ from .mh import mh_report
 from .nulls import DEFAULT_N_REF, DEFAULT_N_SIMS, MIN_N_REF, MIN_N_SIMS, NullCache
 from .scoring import filter_labels
 from .synth import ShapeSpec, generate
-from .tuning import SearchGrid, _local_scale_with_dim, default_grid, grid_search
+from .tuning import (
+    MIN_LOCAL_SCALE_POINTS, SearchGrid, _local_scale_with_dim, default_grid, grid_search,
+)
 from .uniformity import Hyperparams, Knn, Radius, score_columns
 
 
@@ -175,6 +177,8 @@ def cmd_auto(args: argparse.Namespace) -> int:
     if cfg.input is None or cfg.output is None:
         raise InputError("auto needs --input and --output")
     cloud = read_point_cloud_csv(cfg.input)
+    if len(cloud) < MIN_LOCAL_SCALE_POINTS:
+        raise InputError(f"auto needs at least {MIN_LOCAL_SCALE_POINTS} points, got {len(cloud)}")
     nulls = _null_cache(cfg)
     rng = np.random.default_rng(cfg.seed)
     r_tilde, volume_dim = _local_scale_with_dim(cloud, rng=rng)

@@ -8,7 +8,6 @@ convention under which a uniform d-disk has top eigenvalues 1/(d+2).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,14 +28,12 @@ BLOCK_BYTES = 32 * 2**20
 # cache: small Gram matrices of the MMD and of the local PCA, power sums.
 CACHE_BYTES = 2**20
 # Bytes one neighbor costs while a chunk of KD-tree queries is gathered.
-# Radius queries gather arrays.  Over a chunk of 2,500 queries of about 117
-# neighbors, the tree's pair records take 43 B per neighbor in RSS (24 B
-# each, plus the growth of their vector), which tracemalloc does not see;
-# tracemalloc puts the sort key, masks and indices alive beside them at
-# 24 B more.  k-NN queries gather a Python list entry per neighbor on top of
-# arrays, and difference blocks of ``_pair_dist`` for every candidate.
+# Over a chunk of 2,500 radius queries of about 117 neighbors, the tree's
+# pair records take 43 B per neighbor in RSS (24 B each, plus the growth of
+# their vector), which tracemalloc does not see; tracemalloc puts the sort
+# key, masks and indices alive beside them at 24 B more.  k-NN queries hold
+# less: 8-byte arrays of indices, tree and pair distances and sort order.
 _BYTES_PER_MEMBER = 80
-_BYTES_PER_LISTED_MEMBER = 128
 
 
 def as_point_cloud(coords) -> np.ndarray:
@@ -74,8 +71,9 @@ class NeighborIndex:
     """Shared read-only neighbor-query structure for one cloud.
 
     Uses a KD-tree in low ambient dimension and chunked brute-force distance
-    rows in high dimension.  All queries are exact; k-nearest ties are broken
-    by lower point index.
+    rows in high dimension.  All queries are exact under one distance, the
+    norm of the difference (``_pair_dist``), with k-nearest ties broken by
+    lower point index; a backend's own distances only choose candidates.
     """
 
     def __init__(self, coords: np.ndarray):
@@ -126,16 +124,16 @@ class NeighborIndex:
         ((_, members, dists),) = self.knn_members_batch([i], k)
         return members[0], dists[0]
 
-    def _chunks(self, queries: np.ndarray, members, member_bytes: int):
+    def _chunks(self, queries: np.ndarray, members):
         """Consecutive slices of ``queries`` whose neighbor gathering stays
         within about BLOCK_BYTES.  Brute force holds a distance row per query
-        twice (distances and the partitioned copy that finds the k-th
-        nearest); a KD-tree chunk holds ``members`` (per query, or one count
-        for all) gathered neighbors per query at ``member_bytes`` each."""
+        twice (distances and the partition that finds the nearest); a
+        KD-tree chunk holds ``members`` (per query, or one count for all)
+        gathered neighbors per query at _BYTES_PER_MEMBER each."""
         if self._brute:
             cost = np.full(len(queries), 16 * self.n)
         else:
-            cost = member_bytes * (np.broadcast_to(members, len(queries)) + 1)
+            cost = _BYTES_PER_MEMBER * (np.broadcast_to(members, len(queries)) + 1)
         ends = np.cumsum(cost)
         start = 0
         while start < len(queries):
@@ -144,28 +142,16 @@ class NeighborIndex:
             yield queries[start:stop]
             start = stop
 
-    def _tree_candidates(self, chunk: np.ndarray, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Ball-query candidates of a chunk, flattened: (query position,
-        candidate index, distance), in query order then ascending index,
-        the centers themselves removed."""
-        lists = self._tree.query_ball_point(self.coords[chunk], r, return_sorted=True)
-        lengths = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
-        cand = np.fromiter(
-            itertools.chain.from_iterable(lists), dtype=np.intp, count=int(lengths.sum())
-        )
-        owner = np.repeat(np.arange(len(chunk)), lengths)
-        keep = cand != chunk[owner]
-        owner, cand = owner[keep], cand[keep]
-        return owner, cand, self._pair_dist(chunk[owner], cand)
-
     def _tree_ball(self, chunk: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
         """Members of the ball of radius r around each query of a chunk,
         flattened: (query position, member index), in query order then
         ascending index.  The KD-tree pairs the chunk with the cloud as one
-        array; a tree distance farther from r than its rounding decides
-        alone, and the others are decided by ``_pair_dist``."""
+        array, out to r widened by the rounding of its distances, which sum
+        in another order than ``_pair_dist`` and differ from it by a few ulp
+        from 8 dimensions up; a tree distance farther from r than that
+        decides alone, and the others are decided by ``_pair_dist``."""
         pairs = cKDTree(self.coords[chunk]).sparse_distance_matrix(
-            self._tree, r, output_type="ndarray"
+            self._tree, r * (1 + self._tol), output_type="ndarray"
         )
         owner, cand = pairs["i"], pairs["j"]
         inside = cand != chunk[owner]
@@ -190,22 +176,6 @@ class NeighborIndex:
         inside[owner[near], cand[near]] = True
         return inside
 
-    def _brute_knn_candidates(self, chunk: np.ndarray, k: int):
-        """(query position, candidate index, distance) of every point j != q
-        that may be among the k nearest of each query q of a chunk, in query
-        order then ascending index.  BLAS distances widened by their rounding
-        bound choose the candidates; their distances are ``_pair_dist``'s."""
-        sq, slack = self._sq_dist_rows(chunk)
-        sq[np.arange(len(chunk)), chunk] = np.inf
-        # At least k points lie within the k-th BLAS distance, so the k-th
-        # true one is within it plus the bound, and each of the k nearest
-        # within that plus the bound again.  No name holds the partitioned
-        # copy, so it is freed before the pair distances are computed.
-        cut = np.partition(sq, k - 1, axis=1)[:, k - 1] + 2 * slack
-        limit = cut * (1 + 2 * self._tol)
-        owner, cand = np.nonzero(sq <= limit[:, None])
-        return owner, cand, self._pair_dist(chunk[owner], cand)
-
     def radius_members_batch(self, queries, r: float):
         """Members j != q with ||x_j - x_q|| < r (strict) of every query point
         q, in chunks: yields (chunk of queries, member counts, members
@@ -223,33 +193,59 @@ class NeighborIndex:
             counted = self._tree.query_ball_point(self.coords[queries], r, return_length=True)
             order = np.argsort(counted, kind="stable")
             queries, counted = queries[order], counted[order]
-        for chunk in self._chunks(queries, counted, _BYTES_PER_MEMBER):
+        for chunk in self._chunks(queries, counted):
             if self._brute:
                 owner, members = np.nonzero(self._brute_inside(chunk, r))
             else:
                 owner, members = self._tree_ball(chunk, r)
             yield chunk, np.bincount(owner, minlength=len(chunk)), members
 
+    def _nearest(self, centers: np.ndarray, want: int, k: int):
+        """(c, want) indices and distances of the ``want`` nearest points of
+        each center by the backend's distance, the farthest last, and a cut
+        past which no point is among its k nearest by ``_pair_dist``: the
+        tree's (k+1)-th distance (the center counts) widened by 1e-12, or,
+        on squared BLAS distances, the k-th plus twice the rounding bound
+        (the k-th true distance is within one bound, each of the k nearest
+        within another)."""
+        if not self._brute:
+            dist, idx = self._tree.query(self.coords[centers], k=want)
+            return idx, dist, dist[:, k] * (1 + 1e-12)
+        sq, slack = self._sq_dist_rows(centers)
+        sq[np.arange(len(centers)), centers] = np.inf
+        idx = np.argpartition(sq, want - 1, axis=1)[:, :want]
+        dist = np.take_along_axis(sq, idx, axis=1)
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
+        return idx, dist, (kth + 2 * slack) * (1 + 2 * self._tol)
+
     def knn_members_batch(self, queries, k: int):
-        """k nearest neighbors of every query point, in chunks: yields (chunk
-        of queries, (c, k) members, (c, k) distances), each row sorted by
-        (distance, index) so equal distances resolve to the lower index."""
+        """k nearest neighbors of every query point, in chunks in query order:
+        yields (chunk, (c, k) members, (c, k) distances), each row sorted by
+        (distance, index) so equal distances resolve to the lower index.
+
+        A query takes k + 2 points from ``_nearest``; if the farthest lies
+        past the cut, all within the cut were taken, else it asks again for
+        twice as many.  Those within are ranked by (``_pair_dist``, index)."""
         if not 1 <= k <= self.n - 1:
             raise ValueError("k must satisfy 1 <= k <= n - 1")
         queries = np.asarray(queries, dtype=np.intp)
-        for chunk in self._chunks(queries, k + 1, _BYTES_PER_LISTED_MEMBER):
-            if self._brute:
-                owner, cand, dist = self._brute_knn_candidates(chunk, k)
-            else:
-                kth, _ = self._tree.query(self.coords[chunk], k=k + 1)
-                owner, cand, dist = self._tree_candidates(chunk, kth.max(axis=1) * (1 + 1e-12))
-            order = np.lexsort((cand, dist, owner))
-            owner, cand, dist = owner[order], cand[order], dist[order]
-            # Candidates are sorted by query, then (distance, index); keep each
-            # query's first k.
-            starts = np.searchsorted(owner, np.arange(len(chunk)))
-            first = (starts[:, None] + np.arange(k)).ravel()
-            yield chunk, cand[first].reshape(-1, k), dist[first].reshape(-1, k)
+        for chunk in self._chunks(queries, k + 1):
+            members = np.empty((len(chunk), k), dtype=np.intp)
+            dists = np.empty((len(chunk), k))
+            rows, want = np.arange(len(chunk)), min(k + 2, self.n)
+            while rows.size:
+                idx, near, cut = self._nearest(chunk[rows], want, k)
+                done = (near[:, -1] > cut) | (want == self.n)
+                at, idx, near, cut = rows[done], idx[done], near[done], cut[done]
+                centers = np.broadcast_to(chunk[at, None], idx.shape)
+                inside = (near <= cut[:, None]) & (idx != centers)
+                dist = np.full(idx.shape, np.inf)
+                dist[inside] = self._pair_dist(centers[inside], idx[inside])
+                first = np.lexsort((idx, dist), axis=1)[:, :k]
+                members[at] = np.take_along_axis(idx, first, axis=1)
+                dists[at] = np.take_along_axis(dist, first, axis=1)
+                rows, want = rows[~done], min(2 * want, self.n)
+            yield chunk, members, dists
 
 
 def neighbors_radius(

@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.stats import rankdata
 
-from .geometry import BLOCK_BYTES
+from .geometry import BLOCK_BYTES, NeighborIndex, as_point_cloud
 
 KDE_GRID_SIZE = 512
 KNEE_SENSITIVITY = 1.0
@@ -160,20 +159,18 @@ def filter_labels(p_values) -> np.ndarray:
 
 
 def knn_neighbor_sets(points, k: int = DISPERSION_NEIGHBORS) -> np.ndarray:
-    """(n, k) array of k-nearest-neighbor indices, self included in column 0."""
-    pts = np.asarray(points, dtype=float)
+    """(n, k) array of k-nearest-neighbor indices: each point itself in
+    column 0, then its k - 1 nearest others from ``NeighborIndex``."""
+    pts = as_point_cloud(points)
     n = pts.shape[0]
     k = min(k, n)
     if k < 1:
         raise ValueError("k must be >= 1")
-    _, idx = cKDTree(pts).query(pts, k=np.arange(1, k + 1))
-    # A duplicate may be listed before the point itself: swap the point into
-    # column 0.  Where the query left it out among more than k copies,
-    # argmax gives column 0 and the point takes the place of a copy.
-    rows = np.arange(n)
-    at = np.argmax(idx == rows[:, None], axis=1)
-    idx[rows, at] = idx[:, 0]
-    idx[:, 0] = rows
+    idx = np.empty((n, k), dtype=np.intp)
+    idx[:, 0] = np.arange(n)
+    if k > 1:
+        for chunk, members, _ in NeighborIndex(pts).knn_members_batch(np.arange(n), k - 1):
+            idx[chunk, 1:] = members
     return idx
 
 

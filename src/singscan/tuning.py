@@ -33,6 +33,7 @@ DEFAULT_ETAS = (0.7, 0.8, 0.9)
 DEFAULT_ALPHAS = (0.3, 0.5, 0.7)
 DEFAULT_N_RADII = 4
 LOCAL_SCALE_PROBES = 50
+MIN_LOCAL_SCALE_POINTS = 50
 _LADDER_BASE = 10
 _LADDER_MAX = 1000
 
@@ -140,8 +141,8 @@ def _local_scale_with_dim(
 ) -> tuple[float, float]:
     coords = as_point_cloud(cloud)
     n = coords.shape[0]
-    if n < 50:
-        raise ValueError("need at least 50 points for local scale detection")
+    if n < MIN_LOCAL_SCALE_POINTS:
+        raise ValueError(f"need at least {MIN_LOCAL_SCALE_POINTS} points for a local scale")
     rng = rng if rng is not None else np.random.default_rng(0)
     probes = np.sort(rng.choice(n, size=min(LOCAL_SCALE_PROBES, n), replace=False))
     ladder = _scale_ladder(n)

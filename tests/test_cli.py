@@ -246,6 +246,17 @@ def test_missing_input_file_is_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_auto_on_too_few_points_is_exit_2(tmp_path, capsys):
+    small = tmp_path / "small.csv"
+    _write_cloud(small, np.random.default_rng(0).random((30, 2)))
+    out = tmp_path / "o.csv"
+    code = main(["auto", "--input", str(small), "--output", str(out),
+                 "--null-dir", str(tmp_path / "nulls")])
+    assert code == 2
+    assert "at least 50 points" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "nulls").exists()
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "singscan.cli", "--help"],

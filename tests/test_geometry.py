@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from singscan import (
     NeighborIndex,
@@ -97,6 +98,8 @@ _ORACLE_CASES = {
     "random": (np.random.default_rng(4).standard_normal((150, 3)), (0.3, 0.8), (1, 7, 149)),
     "integer_grid": (_grid_cloud(9), (1.0, 1.5, 2.0), (4, 6, 12)),
     "duplicates": (np.vstack([_grid_cloud(5)] * 3), (0.5, 1.5), (2, 3, 5)),
+    # More copies than k + 2: rows take two or more rounds.
+    "many_copies": (np.vstack([_grid_cloud(4)] * 12), (0.5, 1.5), (3, 14, 40)),
 }
 
 
@@ -361,6 +364,23 @@ def test_brute_queries_decide_near_ties_by_difference_norms():
     members, dists = index.knn_members(0, 150)
     order = np.lexsort((np.arange(1, 301), dist[1:]))[:150] + 1
     assert np.array_equal(members, order) and np.array_equal(dists, dist[order])
+
+
+@pytest.mark.parametrize("dim", [8, 12, 19])
+def test_tree_radius_queries_decide_near_ties_by_difference_norms(dim):
+    # From 8 dimensions up the tree sums a distance in another order than the
+    # difference norm and can land an ulp or two above it: a radius just past
+    # the norm must still hold that member.
+    cloud = np.random.default_rng(1).standard_normal((400, dim))
+    index = NeighborIndex(cloud)
+    assert not index._brute
+    pairs = cKDTree(cloud[:1]).sparse_distance_matrix(index._tree, np.inf, output_type="ndarray")
+    dist = np.linalg.norm(cloud - cloud[0], axis=1)
+    above = pairs["j"][pairs["v"] > dist[pairs["j"]]]
+    assert above.size
+    for j in above:
+        r = np.nextafter(dist[j], np.inf)
+        assert np.array_equal(index.radius_members(0, r), np.flatnonzero(dist[1:] < r) + 1)
 
 
 def test_local_scale_dim_does_not_depend_on_chunking(monkeypatch):

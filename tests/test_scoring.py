@@ -165,19 +165,22 @@ def test_filter_needs_ten_scored():
 
 
 def test_knn_neighbor_sets_keep_both_copies_of_a_duplicate():
-    base = np.random.default_rng(7).random((200, 2))
-    pts = np.vstack([base, base])
-    nbrs = knn_neighbor_sets(pts, 5)
-    assert nbrs.shape == (400, 5)
-    assert np.array_equal(nbrs[:, 0], np.arange(400))
-    twin = (np.arange(400) + 200) % 400
-    assert (nbrs == twin[:, None]).any(axis=1).all()
-    assert all(len(set(row)) == 5 for row in nbrs)
-    # More copies than k: the point itself still heads its set.
-    triple = knn_neighbor_sets(np.zeros((3, 2)), 2)
-    assert np.array_equal(triple[:, 0], np.arange(3))
-    assert all(len(set(row)) == 2 for row in triple)
-    assert knn_neighbor_sets(base, 1).shape == (200, 1)
+    # Zero-padded to 25 dimensions the cloud takes the brute-force path.
+    for pad in (0, 23):
+        base = np.random.default_rng(7).random((200, 2))
+        base = np.hstack([base, np.zeros((200, pad))])
+        pts = np.vstack([base, base])
+        nbrs = knn_neighbor_sets(pts, 5)
+        assert nbrs.shape == (400, 5)
+        assert np.array_equal(nbrs[:, 0], np.arange(400))
+        twin = (np.arange(400) + 200) % 400
+        assert (nbrs == twin[:, None]).any(axis=1).all()
+        assert all(len(set(row)) == 5 for row in nbrs)
+        # More copies than k: the point itself still heads its set.
+        triple = knn_neighbor_sets(np.zeros((3, 2 + pad)), 2)
+        assert np.array_equal(triple[:, 0], np.arange(3))
+        assert all(len(set(row)) == 2 for row in triple)
+        assert knn_neighbor_sets(base, 1).shape == (200, 1)
 
 
 def test_purity_examples():
