@@ -23,10 +23,14 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from singscan.io import SCORES_HEADER, InputError, read_scores_csv  # noqa: E402
+from singscan.io import (  # noqa: E402
+    GRID_REPORT_HEADER,
+    SCORES_HEADER,
+    InputError,
+    read_scores_csv,
+)
 
 EXACT_COLUMNS = ("index", "k_obs", "est_dim", "label")
-REPORT_HEADER = ("r", "eta", "alpha", "dispersion", "n_singular", "warn_degenerate")
 EXACT_REPORT_COLUMNS = ("r", "eta", "alpha", "n_singular", "warn_degenerate")
 
 
@@ -35,7 +39,7 @@ def read_report(path: Path) -> dict[str, np.ndarray]:
     try:
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        return {name: np.array([float(row[name]) for row in rows]) for name in REPORT_HEADER}
+        return {name: np.array([float(row[name]) for row in rows]) for name in GRID_REPORT_HEADER}
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: not a grid report ({exc})") from exc
 
@@ -76,7 +80,7 @@ def main() -> int:
     failed = compare(a, b, SCORES_HEADER, EXACT_COLUMNS)
     if report_a is not None:
         print("grid report:")
-        failed |= compare(report_a, report_b, REPORT_HEADER, EXACT_REPORT_COLUMNS)
+        failed |= compare(report_a, report_b, GRID_REPORT_HEADER, EXACT_REPORT_COLUMNS)
     return 1 if failed else 0
 
 

@@ -51,8 +51,8 @@ def main() -> int:
         flags = []
         t0 = time.perf_counter()
         for labeled, is_manifold in rows:
-            r_tilde, _ = local_scale(labeled.cloud, rng=np.random.default_rng(args.seed))
-            params = Hyperparams(Radius(1.5 * r_tilde), args.eta, kernel)
+            _, (lo, _) = local_scale(labeled.cloud, rng=np.random.default_rng(args.seed))
+            params = Hyperparams(Radius(lo), args.eta, kernel)
             p = score_columns(labeled.cloud, params, nulls).p_value
             rep = mh_report(p, kernel, nulls)
             stats["supc"].append(rep.supc)

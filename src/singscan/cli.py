@@ -24,6 +24,7 @@ from .io import (
     read_label_column,
     read_point_cloud_csv,
     read_scores_csv,
+    write_grid_report,
     write_point_cloud_csv,
     write_scores_csv,
 )
@@ -151,13 +152,12 @@ def _parse_grid(raw, r_range, volume_dim: float) -> SearchGrid:
     if raw is None:
         return base
     if isinstance(raw, str):
-        candidate = Path(raw)
-        if candidate.exists():
-            raw = candidate.read_text()
+        # JSON text starts with "{" and is never looked up as a file name,
+        # which it can outgrow; anything else names a file.
         try:
-            raw = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"--grid is not valid JSON: {exc}")
+            raw = json.loads(raw if raw.lstrip().startswith("{") else Path(raw).read_text())
+        except (OSError, ValueError) as exc:
+            raise InputError(f"--grid is neither JSON text nor a readable JSON file: {exc}")
     if not isinstance(raw, dict):
         raise InputError("--grid must be a JSON object")
     try:
@@ -181,20 +181,14 @@ def cmd_auto(args: argparse.Namespace) -> int:
         raise InputError(f"auto needs at least {MIN_LOCAL_SCALE_POINTS} points, got {len(cloud)}")
     nulls = _null_cache(cfg)
     rng = np.random.default_rng(cfg.seed)
-    r_tilde, volume_dim = _local_scale_with_dim(cloud, rng=rng)
-    grid = _parse_grid(cfg.grid, (1.5 * r_tilde, 5.0 * r_tilde), volume_dim)
+    _, r_range, volume_dim = _local_scale_with_dim(cloud, rng=rng)
+    grid = _parse_grid(cfg.grid, r_range, volume_dim)
     search = grid_search(
         cloud, grid, nulls, volume_dim=volume_dim,
         subsample_fraction=cfg.subsample, seed=cfg.seed,
     )
     write_scores_csv(cfg.output, search.scores, search.labels)
-    report_lines = ["r,eta,alpha,dispersion,n_singular,warn_degenerate"]
-    for row in search.report:
-        report_lines.append(
-            f"{row.r!r},{row.eta!r},{row.alpha!r},"
-            f"{row.dispersion!r},{row.n_singular},{int(row.warn_degenerate)}"
-        )
-    atomic_write_text(Path(cfg.output).with_suffix(".report.csv"), "\n".join(report_lines) + "\n")
+    write_grid_report(Path(cfg.output).with_suffix(".report.csv"), search.report)
     return 0
 
 
@@ -324,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("auto", help="tune hyperparameters, then detect")
     _add_common(p, with_hyper=False)
     p.add_argument("--grid", default=None,
-                   help='JSON grid {"radii": [...], "etas": [...], "alphas": [...], "bounds": [lo, hi]}')
+                   help='JSON grid {"radii": [...], "etas": [...], "alphas": [...], '
+                        '"bounds": [lo, hi]}, or the path of a file holding one')
     p.set_defaults(func=cmd_auto)
 
     p = subs.add_parser("mh-test", help="manifold-hypothesis tests on p-values")

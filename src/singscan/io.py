@@ -13,6 +13,7 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 SCORES_HEADER = ["index", "est_dim", "k_obs", "mmd", "p_value", "log_inv_p", "label"]
+GRID_REPORT_HEADER = ["r", "eta", "alpha", "dispersion", "n_singular", "warn_degenerate"]
 
 
 class InputError(Exception):
@@ -124,6 +125,17 @@ def write_scores_csv(path: str | Path, scores, labels) -> None:
             lines.append(f"{i},,{k},,,,{label}")
         else:
             lines.append(f"{i},{int(d)},{k},{mmd:.17g},{p:.17g},{-math.log(p):.17g},{label}")
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def write_grid_report(path: str | Path, rows) -> None:
+    """``auto``'s grid report, a line per ``GridRow`` in the order given;
+    floats as ``repr``, which round-trips, and warn_degenerate as 0 or 1."""
+    lines = [",".join(GRID_REPORT_HEADER)] + [
+        f"{row.r!r},{row.eta!r},{row.alpha!r},"
+        f"{row.dispersion!r},{row.n_singular},{int(row.warn_degenerate)}"
+        for row in rows
+    ]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -12,6 +12,7 @@ configurations.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -40,7 +41,10 @@ _LADDER_MAX = 1000
 
 @dataclass(frozen=True)
 class SearchGrid:
-    """Axes of the hyperparameter search plus hard outer radius bounds."""
+    """Axes of the hyperparameter search plus hard outer radius bounds.
+
+    The axes are sets: each is stored ascending and without repeats, so the
+    grid holds each configuration once, in (r, eta, alpha) order."""
 
     radii: tuple[float, ...]
     etas: tuple[float, ...] = DEFAULT_ETAS
@@ -48,15 +52,17 @@ class SearchGrid:
     bounds: tuple[float, float] = (0.0, math.inf)
 
     def __post_init__(self):
+        for axis in ("radii", "etas", "alphas"):
+            object.__setattr__(self, axis, tuple(sorted(set(getattr(self, axis)))))
         if not self.radii or not self.etas or not self.alphas:
             raise ValueError("grid axes must be nonempty")
-        if min(self.radii) <= 0:
+        if not all(r > 0 for r in self.radii):
             raise ValueError("radii must be positive")
         # Every (eta, alpha) must make valid Hyperparams with a geometric kernel.
         if not all(0.0 < v < 1.0 for v in (*self.etas, *self.alphas)):
             raise ValueError("etas and alphas must lie in (0, 1)")
         lo, hi = self.bounds
-        if not (lo <= min(self.radii) and max(self.radii) <= hi):
+        if not all(lo <= r <= hi for r in self.radii):
             raise ValueError("radii must lie within bounds")
 
 
@@ -132,13 +138,14 @@ def local_scale(
     the dimension estimate stabilizes; without a knee the ladder midpoint is
     used.
     """
-    r_tilde, _ = _local_scale_with_dim(cloud, rng)
-    return r_tilde, (1.5 * r_tilde, 5.0 * r_tilde)
+    r_tilde, r_range, _ = _local_scale_with_dim(cloud, rng)
+    return r_tilde, r_range
 
 
 def _local_scale_with_dim(
     cloud, rng: np.random.Generator | None = None
-) -> tuple[float, float]:
+) -> tuple[float, tuple[float, float], float]:
+    """``local_scale`` and the averaged dimension estimate at its knee."""
     coords = as_point_cloud(cloud)
     n = coords.shape[0]
     if n < MIN_LOCAL_SCALE_POINTS:
@@ -167,7 +174,7 @@ def _local_scale_with_dim(
     if knee_col is None:
         knee_col = len(ladder) // 2
     r_tilde = float(kth_dist[:, knee_col].mean())
-    return r_tilde, float(avg[knee_col])
+    return r_tilde, (1.5 * r_tilde, 5.0 * r_tilde), float(avg[knee_col])
 
 
 def default_grid(r_range: tuple[float, float], dim: float) -> SearchGrid:
@@ -210,8 +217,10 @@ def grid_search(
     minimizer, expanding the radius axis while the winner sits on its upper
     boundary and the hard bounds allow.
 
-    Ties break toward smaller r, then eta, then alpha.  A winning labeling
-    with no singular points is legal but flagged ``warn_degenerate``.  The
+    Configurations are visited, and reported, in ascending (r, eta, alpha)
+    order: expanded radii lie past the grid's.  Ties go to the first
+    visited.  A winning labeling with no singular points is legal but
+    flagged ``warn_degenerate``.  The
     dispersion uses DISPERSION_NEIGHBORS neighbor sets and regularization
     n / 4.  The configurations of one radius are scored together by
     ``score_configurations``, which gathers the neighborhoods and takes
@@ -222,69 +231,51 @@ def grid_search(
     n = coords.shape[0]
     kernels = tuple(PowerSeriesKernel(param=alpha) for alpha in grid.alphas)
     if volume_dim is None:
-        _, volume_dim = _local_scale_with_dim(coords, rng=np.random.default_rng(seed))
+        _, _, volume_dim = _local_scale_with_dim(coords, rng=np.random.default_rng(seed))
     neighbor_sets = knn_neighbor_sets(coords, min(DISPERSION_NEIGHBORS, n))
+    configs = list(itertools.product(enumerate(grid.etas), enumerate(grid.alphas)))
 
-    def rank(row: GridRow):
-        return (row.dispersion, row.r, row.eta, row.alpha)
-
-    rows: dict[tuple[float, float, float], GridRow] = {}
-    best: GridRow | None = None
-    best_scores: Scores | None = None
-    best_labels: np.ndarray | None = None
-
-    def evaluate(r: float, eta: float, alpha: float, scores_of) -> None:
-        nonlocal best, best_scores, best_labels
-        if (r, eta, alpha) in rows:
-            return
-        try:
-            scores = scores_of()
-            labels = filter_labels(scores.p_value)
-            rep = dispersion(coords, labels, neighbor_sets, n / 4.0)
-            n_sing = int(labels.sum())
-            row = GridRow(r, eta, alpha, rep.dispersion, n_sing, n_sing == 0)
-        except (ValueError, RuntimeError) as exc:
-            row = GridRow(r, eta, alpha, math.inf, 0, True, error=str(exc))
-        rows[(r, eta, alpha)] = row
-        if row.error is None and (best is None or rank(row) < rank(best)):
-            best, best_scores, best_labels = row, scores, labels
-
-    def evaluate_radius(r: float) -> None:
-        configs = score_configurations(
-            coords, Radius(r), grid.etas, kernels, nulls,
-            subsample_fraction=subsample_fraction, seed=seed,
-        )
-        try:
-            for eta, kernel, scores_of in configs:
-                evaluate(r, eta, kernel.param, scores_of)
-        except (ValueError, RuntimeError) as exc:
-            # The neighborhoods or the PCA of this radius failed, which fails
-            # every configuration of it alike.
-            for eta in grid.etas:
-                for alpha in grid.alphas:
-                    rows.setdefault(
-                        (r, eta, alpha), GridRow(r, eta, alpha, math.inf, 0, True, error=str(exc))
-                    )
-
-    radii = sorted(grid.radii)
-    scored: set[float] = set()
-    while True:
-        for r in sorted(set(radii) - scored):
-            evaluate_radius(r)
-            scored.add(r)
+    rows: list[GridRow] = []
+    best = None  # (row, scores, labels) of the least dispersion so far
+    radii, new = [], list(grid.radii)
+    while new:
+        for r in new:
+            try:
+                scores_of = score_configurations(
+                    coords, Radius(r), grid.etas, kernels, nulls,
+                    subsample_fraction=subsample_fraction, seed=seed,
+                )
+                failure = None
+            except (ValueError, RuntimeError) as exc:
+                # The neighborhoods or the PCA of this radius failed, which
+                # fails every configuration of it alike.
+                failure = exc
+            for (e, eta), (j, alpha) in configs:
+                try:
+                    if failure is not None:
+                        raise failure
+                    scores = scores_of(e, j)
+                    labels = filter_labels(scores.p_value)
+                    rep = dispersion(coords, labels, neighbor_sets, n / 4.0)
+                except (ValueError, RuntimeError) as exc:
+                    rows.append(GridRow(r, eta, alpha, math.inf, 0, True, error=str(exc)))
+                    continue
+                n_sing = int(labels.sum())
+                rows.append(GridRow(r, eta, alpha, rep.dispersion, n_sing, n_sing == 0))
+                if best is None or rep.dispersion < best[0].dispersion:
+                    best = rows[-1], scores, labels
+        radii += new
         if best is None:
             failures = "; ".join(
                 f"(r={row.r:g}, eta={row.eta:g}, alpha={row.alpha:g}): {row.error}"
-                for row in rows.values()
+                for row in rows
             )
             raise RuntimeError(f"all configurations degenerate: {failures}")
-        if best.r < max(radii) or max(radii) >= grid.bounds[1]:
+        if best[0].r < radii[-1] or radii[-1] >= grid.bounds[1]:
             break
-        extra = _expand_radii(radii, grid.bounds, volume_dim)
-        if not extra:
-            break
-        radii = sorted(set(radii) | set(extra))
+        new = _expand_radii(radii, grid.bounds, volume_dim)
 
-    params = Hyperparams(Radius(best.r), best.eta, PowerSeriesKernel(param=best.alpha))
-    report = sorted(rows.values(), key=lambda row: (row.r, row.eta, row.alpha))
-    return GridSearchResult(params, best, best_scores, best_labels, report)
+    row, scores, labels = best
+    params = Hyperparams(Radius(row.r), row.eta, PowerSeriesKernel(param=row.alpha))
+    return GridSearchResult(params, row, scores, labels, rows)
+

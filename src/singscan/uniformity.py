@@ -2,19 +2,19 @@
 
 A point is scored by comparing its rescaled, PCA-projected neighborhood
 against the uniform distribution on the unit disk of the estimated dimension.
-Neighborhoods with fewer than MIN_NEIGHBORHOOD members are reported with
-missing score fields instead of being tested.  ``score_configurations``
-scores all points at once in batches, under several etas and kernels that
-share one neighborhood rule; ``score_columns`` is its one-configuration case;
+Neighborhoods with fewer than MIN_NEIGHBORHOOD members, or whose members
+all sit on their center, are reported with missing score fields instead of
+being tested.  ``score_configurations`` scores all points at once in
+batches, under several etas and kernels that share one neighborhood rule;
+``score_columns`` is its one-configuration case;
 ``uniformity_test`` scores one point and is the reference the batched path
 is tested against.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +69,8 @@ class Hyperparams:
 @dataclass(frozen=True)
 class UniformityResult:
     """Per-point outcome; score fields are None exactly when the neighborhood
-    was too small to test (k_obs < MIN_NEIGHBORHOOD)."""
+    was untestable: too small (k_obs < MIN_NEIGHBORHOOD), or every member on
+    the center, which leaves no spread for the PCA."""
 
     index: int
     k_obs: int
@@ -94,7 +95,7 @@ def uniformity_test(
     else:
         hood = neighbors_knn(coords, i, params.neighborhood.k, index=index)
     k_obs = len(hood.member_indices)
-    if k_obs < MIN_NEIGHBORHOOD:
+    if k_obs < MIN_NEIGHBORHOOD or not hood.rescaled.any():
         return UniformityResult(i, k_obs)
     pca = local_pca(hood.rescaled, params.eta)
     projected = project(hood, pca)
@@ -106,8 +107,8 @@ def uniformity_test(
 @dataclass(frozen=True, eq=False)
 class Scores:
     """Per-point outcome of a detection run as columns over the points: the
-    neighborhood size ``k_obs`` and, NaN where the neighborhood was too small
-    to test, the estimated dimension ``d_hat``, ``mmd`` and ``p_value``."""
+    neighborhood size ``k_obs`` and, NaN where the neighborhood was
+    untestable, the estimated dimension ``d_hat``, ``mmd`` and ``p_value``."""
 
     k_obs: np.ndarray
     d_hat: np.ndarray
@@ -138,8 +139,8 @@ def _neighborhood_chunks(index: NeighborIndex, queries: np.ndarray, hood: Radius
 def _mmd_columns(coords: np.ndarray, queries: np.ndarray, neighborhood: Radius | Knn, etas, kernels):
     """k_obs of each query, its d_hat under each eta, (len(etas), m), its
     squared MMD under each (kernel, eta), (len(kernels), len(etas), m), NaN
-    where the neighborhood was too small to test, and the exception of each
-    kernel (by position) whose MMD failed.
+    where the neighborhood was untestable, and the exception of each kernel
+    (by position) whose MMD failed.
 
     Neighborhoods are gathered in chunks, which come in ascending order of
     size from the KD-tree radius query and in query order otherwise, and
@@ -169,9 +170,15 @@ def _mmd_columns(coords: np.ndarray, queries: np.ndarray, neighborhood: Radius |
                 sel = group[a : a + per_stack]
                 stack = coords[members[starts[sel, None] + np.arange(k)]]
                 stack -= coords[chunk[sel], None]
-                # A zero k-th neighbor distance means every member sits on
-                # the center; those neighborhoods rescale to zeros.
+                # A neighborhood whose members all sit on the center (a ball
+                # of copies, or a zero k-th neighbor distance) rescales to
+                # zeros, which have no spectrum to test: it stays NaN.
                 stack /= np.where(scales[sel] > 0, scales[sel], np.inf)[:, None, None]
+                spread = stack.any(axis=(1, 2))
+                if not spread.all():
+                    sel, stack = sel[spread], stack[spread]
+                    if not sel.size:
+                        continue
                 dims, projected = local_pca_stack(stack, etas)
                 d_hat[:, at[sel]] = dims
                 for d in np.unique(dims):
@@ -198,7 +205,7 @@ def score_configurations(
     nulls: NullCache,
     subsample_fraction: float = 1.0,
     seed: int = 0,
-) -> Iterator[tuple[float, PowerSeriesKernel, Callable[[], Scores]]]:
+) -> Callable[[int, int], Scores]:
     """Score every point under each (eta, kernel) of one neighborhood rule.
 
     Neighborhoods and singular values do not depend on eta or the kernel, and
@@ -206,21 +213,18 @@ def score_configurations(
     the neighborhoods are gathered and decomposed once and the squared MMD
     is computed once per (kernel, point, d_hat).
 
-    Yields (eta, kernel, scores) for each eta and, within it, each kernel in
-    the order given; ``scores()`` looks up that configuration's p-values
-    and returns its ``Scores``, or raises what made it fail.  A failure of
-    the neighborhoods or the PCA raises before the first yield; a kernel
-    whose MMD fails fails only its own configurations.
+    Returns the lookup ``scores(e, j)``, the ``Scores`` of (etas[e],
+    kernels[j]).  A failure of the neighborhoods or the PCA raises from this
+    call, a kernel's failed MMD from ``scores`` of its configurations.
     """
     coords = as_point_cloud(cloud)
     n = coords.shape[0]
     queries = _query_points(n, subsample_fraction, seed)
-    # A function of its own, so that its working arrays are freed before the
-    # first yield.
+    # A function of its own, so that its working arrays are freed on return.
     k_obs, d_hat, mmd, failed = _mmd_columns(coords, queries, neighborhood, etas, kernels)
 
     m = len(queries)
-    tested = np.flatnonzero(k_obs >= MIN_NEIGHBORHOOD)
+    tested = np.flatnonzero(np.isfinite(d_hat[0]))
     # Every unscored point takes the values of its nearest scored point.
     nearest = np.arange(m)
     if m < n:
@@ -236,9 +240,7 @@ def score_configurations(
             p[sel] = p_value(nulls.get(int(d), kernels[j]), k_obs[sel], mmd[j, e, sel])
         return Scores(*(col[nearest] for col in (k_obs, d_hat[e], mmd[j, e], p)))
 
-    for e, eta in enumerate(etas):
-        for j, kernel in enumerate(kernels):
-            yield eta, kernel, functools.partial(scores, e, j)
+    return scores
 
 
 def score_columns(
@@ -250,11 +252,10 @@ def score_columns(
 ) -> Scores:
     """Score every point, batched: the columns of ``singularity_scores``,
     and the one-configuration case of ``score_configurations``."""
-    ((_, _, scores),) = score_configurations(
+    return score_configurations(
         cloud, params.neighborhood, (params.eta,), (params.kernel,), nulls,
         subsample_fraction, seed,
-    )
-    return scores()
+    )(0, 0)
 
 
 def singularity_scores(
@@ -272,7 +273,7 @@ def singularity_scores(
     for i, (k, d, mmd, p) in enumerate(
         zip(cols.k_obs.tolist(), cols.d_hat.tolist(), cols.mmd.tolist(), cols.p_value.tolist())
     ):
-        if k < MIN_NEIGHBORHOOD:
+        if math.isnan(d):
             results.append(UniformityResult(i, k))
         else:
             results.append(UniformityResult(i, k, int(d), mmd, p))

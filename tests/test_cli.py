@@ -293,6 +293,8 @@ def test_auto_all_degenerate_grid_is_internal_failure(tmp_path, disk_csv, null_c
     ("auto", ["--grid", '{"alphas": [0.0]}']),
     ("detect", ["--radius", "0.4", "--seed", "-1"]),
     ("auto", ["--seed", "-1"]),
+    # JSON longer than a file name may be, which is never looked up as one.
+    ("auto", ["--grid", '{"etas": [], "radii": [%s]}' % ", ".join(["0.25"] * 50)]),
 ])
 def test_out_of_range_flag_is_exit_2(tmp_path, disk_csv, capsys, command, extra):
     # disk_csv has 400 points.

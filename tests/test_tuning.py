@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,11 @@ def test_grid_validation():
         SearchGrid(radii=())
     with pytest.raises(ValueError):
         SearchGrid(radii=(0.5,), bounds=(0.0, 0.4))
+    with pytest.raises(ValueError):
+        SearchGrid(radii=(0.2, float("nan"), 0.3), bounds=(0.0, 0.4))
+    # The axes are sets, stored ascending.
+    grid = SearchGrid(radii=(0.3, 0.2, 0.3), etas=(0.9, 0.7, 0.9), alphas=(0.5, 0.3, 0.5, 0.3))
+    assert (grid.radii, grid.etas, grid.alphas) == ((0.2, 0.3), (0.7, 0.9), (0.3, 0.5))
 
 
 def test_grid_search_single_configuration(null_cache):
@@ -197,7 +204,64 @@ def test_grid_search_failed_geometry_fails_every_configuration(null_cache):
     grid = SearchGrid(radii=(1e-3,), etas=(0.7, 0.9), alphas=(0.3, 0.5), bounds=(1e-3, 1e-3))
     with pytest.raises(RuntimeError, match="all configurations degenerate") as info:
         grid_search(cloud, grid, null_cache, seed=0, volume_dim=2.0)
-    assert str(info.value).count("all eigenvalues zero") == 4
+    assert str(info.value).count("need at least 10 scored points") == 4
+
+
+# The report of the grid below: (r, eta, alpha, dispersion, n_singular).  The
+# winner r = 0.21 sits on the upper boundary twice, so the radius axis grows
+# from 2 to 4 and then to 8 radii.  At r = 0.03 too few points are scored.
+EXPANDED_REPORT = [
+    (0.03, 0.8, 0.5, math.inf, 0),
+    (0.03, 0.8, 0.7, math.inf, 0),
+    (0.03, 0.9, 0.5, math.inf, 0),
+    (0.03, 0.9, 0.7, math.inf, 0),
+    (0.12, 0.8, 0.5, 1.6662612209877223, 54),
+    (0.12, 0.8, 0.7, 1.0565673003594485, 46),
+    (0.12, 0.9, 0.5, 0.9570089716760386, 44),
+    (0.12, 0.9, 0.7, 0.7858686706435423, 40),
+    (0.16499999999999998, 0.8, 0.5, 1.6345689582094147, 58),
+    (0.16499999999999998, 0.8, 0.7, 1.4818681269792857, 55),
+    (0.16499999999999998, 0.9, 0.5, 1.670145338103893, 59),
+    (0.16499999999999998, 0.9, 0.7, 1.480069973266201, 55),
+    (0.21, 0.8, 0.5, 0.5388347731229345, 32),
+    (0.21, 0.8, 0.7, 0.5384235006475432, 32),
+    (0.21, 0.9, 0.5, 0.6384047266615007, 36),
+    (0.21, 0.9, 0.7, 0.6072062379543024, 35),
+    (0.255, 0.8, 0.5, 1.5848059685101117, 61),
+    (0.255, 0.8, 0.7, 1.4590935391877629, 58),
+    (0.255, 0.9, 0.5, 1.8119360494142336, 65),
+    (0.255, 0.9, 0.7, 1.746379421229469, 64),
+    (0.3, 0.8, 0.5, 1.8915719385774117, 67),
+    (0.3, 0.8, 0.7, 1.8863877291677695, 67),
+    (0.3, 0.9, 0.5, 2.013343151497475, 69),
+    (0.3, 0.9, 0.7, 2.075888400115743, 70),
+    (0.345, 0.8, 0.5, 4.436496684809053, 103),
+    (0.345, 0.8, 0.7, 4.693757080718145, 106),
+    (0.345, 0.9, 0.5, 4.454148580476364, 103),
+    (0.345, 0.9, 0.7, 4.715048150820271, 106),
+    (0.39, 0.8, 0.5, 5.42038126961318, 114),
+    (0.39, 0.8, 0.7, 5.709525159612962, 117),
+    (0.39, 0.9, 0.5, 5.320529051769981, 113),
+    (0.39, 0.9, 0.7, 5.226724728210311, 112),
+]
+
+
+def test_grid_search_expands_radii_past_the_grid(null_cache):
+    lab = generate(ShapeSpec("two_circles", 600, noise_amplitude=0.0, seed=0))
+    grid = SearchGrid(radii=(0.03, 0.12), etas=(0.9, 0.8, 0.9), alphas=(0.7, 0.5),
+                      bounds=(0.03, 0.6))
+    out = grid_search(lab.cloud, grid, null_cache, volume_dim=1.0, seed=0)
+    keys = [(row.r, row.eta, row.alpha) for row in out.report]
+    assert len({row.r for row in out.report}) == 8 > len(grid.radii)
+    assert keys == sorted(set(keys))
+    assert keys == [row[:3] for row in EXPANDED_REPORT]
+    assert [row.n_singular for row in out.report] == [row[4] for row in EXPANDED_REPORT]
+    np.testing.assert_allclose(
+        [row.dispersion for row in out.report], [row[3] for row in EXPANDED_REPORT],
+        rtol=1e-12, atol=0,
+    )
+    assert [row.warn_degenerate for row in out.report] == [row[4] == 0 for row in EXPANDED_REPORT]
+    assert (out.best_row.r, out.best_row.eta, out.best_row.alpha) == (0.21, 0.8, 0.7)
 
 
 def test_grid_search_with_count_weighted_kde_equals_per_value_kde(null_cache, kde_oracle,

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -314,13 +315,10 @@ def test_configurations_match_one_at_a_time(case, null_cache):
             subsample = 0.25
     etas = (0.7, 0.8, 0.95)
     kernels = (PowerSeriesKernel("geometric", 0.3), PowerSeriesKernel("expdot", 2.0))
-    configs = list(
-        score_configurations(cloud, hood, etas, kernels, null_cache, subsample, seed=3)
-    )
-    assert [(eta, kern) for eta, kern, _ in configs] == [(e, k) for e in etas for k in kernels]
+    scores = score_configurations(cloud, hood, etas, kernels, null_cache, subsample, seed=3)
     seen_dims = set()
-    for eta, kern, scores in configs:
-        cols = scores()
+    for (e, eta), (j, kern) in itertools.product(enumerate(etas), enumerate(kernels)):
+        cols = scores(e, j)
         one = score_columns(cloud, Hyperparams(hood, eta, kern), null_cache, subsample, seed=3)
         assert np.array_equal(cols.k_obs, one.k_obs)
         assert np.array_equal(cols.d_hat, one.d_hat, equal_nan=True)
@@ -344,11 +342,31 @@ def test_configurations_fail_per_kernel(null_cache, monkeypatch):
     monkeypatch.setattr(uniformity, "mmd_sq_stack", failing)
     cloud = _disk_cloud(300, 46)
     kernels = (PowerSeriesKernel(param=0.5), PowerSeriesKernel(param=0.7))
-    for eta, kern, scores in score_configurations(
-        cloud, Radius(0.4), (0.8, 0.9), kernels, null_cache
-    ):
-        if kern.param == 0.7:
-            with pytest.raises(RuntimeError, match="kernel 0.7 fails"):
-                scores()
-        else:
-            assert np.isfinite(scores().p_value).any()
+    scores = score_configurations(cloud, Radius(0.4), (0.8, 0.9), kernels, null_cache)
+    for e in range(2):
+        with pytest.raises(RuntimeError, match="kernel 0.7 fails"):
+            scores(e, 1)
+        assert np.isfinite(scores(e, 0).p_value).any()
+
+
+def test_configurations_neighborhood_failure_raises_from_the_call(null_cache):
+    cloud = _disk_cloud(30, 46)
+    with pytest.raises(ValueError, match="k must satisfy"):
+        score_configurations(cloud, Knn(len(cloud)), (0.8,), (KERN,), null_cache)
+
+
+@pytest.mark.parametrize("hood", [Radius(0.15), Knn(10)], ids=["radius", "knn"])
+def test_coincident_cluster_is_untestable(hood, null_cache):
+    # Twelve copies of one point, far from the rest: each copy's neighborhood
+    # is its 11 twins (radius rule), or its k-th neighbor distance is 0 (k-NN
+    # rule), so it rescales to zeros and has no spectrum to test.
+    rng = np.random.default_rng(0)
+    cloud = np.vstack([rng.uniform(0, 1, size=(500, 2)), np.tile([5.0, 5.0], (12, 1))])
+    params = Hyperparams(hood, 0.8, KERN)
+    cols = score_columns(cloud, params, null_cache)
+    _assert_matches_oracle(cols, _oracle_columns(cloud, params, null_cache, range(len(cloud))))
+    assert np.array_equal(cols.k_obs[500:], np.full(12, 11 if isinstance(hood, Radius) else 10))
+    assert np.isnan(cols.d_hat[500:]).all() and np.isnan(cols.p_value[500:]).all()
+    assert np.isfinite(cols.p_value[:500]).sum() > 400
+    rows = singularity_scores(cloud, params, null_cache)
+    assert all(r.d_hat is None and r.p_value is None for r in rows[500:])
