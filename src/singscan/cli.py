@@ -193,6 +193,13 @@ def cmd_auto(args: argparse.Namespace) -> int:
 
 
 def cmd_mh_test(args: argparse.Namespace) -> int:
+    if args.scores is not None:
+        # These flags only set up the scoring that --scores replaces; their
+        # config-file values stay ignored, as a shared config may carry them.
+        unread = [f"--{name}" for name in ("input", "radius", "knn", "eta", "subsample")
+                  if getattr(args, name) is not None]
+        if unread:
+            raise InputError(f"mh-test --scores does not read {', '.join(unread)}")
     cfg = _merge_config(args)
     nulls = _null_cache(cfg)
     if args.scores is not None:

@@ -225,26 +225,31 @@ class NeighborIndex:
 
         A query takes k + 2 points from ``_nearest``; if the farthest lies
         past the cut, all within the cut were taken, else it asks again for
-        twice as many.  Those within are ranked by (``_pair_dist``, index)."""
+        twice as many.  Those within are ranked by (``_pair_dist``, index).
+        Each round's rows go in parts within the chunk budget at its ``want``."""
         if not 1 <= k <= self.n - 1:
             raise ValueError("k must satisfy 1 <= k <= n - 1")
         queries = np.asarray(queries, dtype=np.intp)
-        for chunk in self._chunks(queries, k + 1):
+        initial = min(k + 2, self.n)
+        for chunk in self._chunks(queries, initial):
             members = np.empty((len(chunk), k), dtype=np.intp)
             dists = np.empty((len(chunk), k))
-            rows, want = np.arange(len(chunk)), min(k + 2, self.n)
+            rows, want = np.arange(len(chunk)), initial
             while rows.size:
-                idx, near, cut = self._nearest(chunk[rows], want, k)
-                done = (near[:, -1] > cut) | (want == self.n)
-                at, idx, near, cut = rows[done], idx[done], near[done], cut[done]
-                centers = np.broadcast_to(chunk[at, None], idx.shape)
-                inside = (near <= cut[:, None]) & (idx != centers)
-                dist = np.full(idx.shape, np.inf)
-                dist[inside] = self._pair_dist(centers[inside], idx[inside])
-                first = np.lexsort((idx, dist), axis=1)[:, :k]
-                members[at] = np.take_along_axis(idx, first, axis=1)
-                dists[at] = np.take_along_axis(dist, first, axis=1)
-                rows, want = rows[~done], min(2 * want, self.n)
+                again = []
+                for part in self._chunks(rows, want):
+                    idx, near, cut = self._nearest(chunk[part], want, k)
+                    done = (near[:, -1] > cut) | (want == self.n)
+                    at, idx, near, cut = part[done], idx[done], near[done], cut[done]
+                    centers = np.broadcast_to(chunk[at, None], idx.shape)
+                    inside = (near <= cut[:, None]) & (idx != centers)
+                    dist = np.full(idx.shape, np.inf)
+                    dist[inside] = self._pair_dist(centers[inside], idx[inside])
+                    first = np.lexsort((idx, dist), axis=1)[:, :k]
+                    members[at] = np.take_along_axis(idx, first, axis=1)
+                    dists[at] = np.take_along_axis(dist, first, axis=1)
+                    again.append(part[~done])
+                rows, want = np.concatenate(again), min(2 * want, self.n)
             yield chunk, members, dists
 
 

@@ -155,8 +155,11 @@ def read_scores_csv(path: str | Path) -> dict[str, np.ndarray]:
                 continue
             if len(cells) != len(SCORES_HEADER):
                 raise InputError(f"{path}:{lineno}: wrong column count")
-            for col, cell in zip(columns, cells):
-                col.append(float(cell) if cell.strip() else math.nan)
+            try:
+                for col, cell in zip(columns, cells):
+                    col.append(float(cell) if cell.strip() else math.nan)
+            except ValueError:
+                raise InputError(f"{path}:{lineno}: non-numeric value") from None
     return {name: np.asarray(col) for name, col in zip(SCORES_HEADER, columns)}
 
 

@@ -80,9 +80,9 @@ class PowerSeriesKernel:
         if self.order < 0:
             raise ValueError("truncation order must be nonnegative")
 
-    def fingerprint(self) -> tuple[str, float]:
-        """Cache key: kind plus parameter rounded to 1e-6."""
-        return (self.kind, round(self.param, 6))
+    def fingerprint(self) -> tuple[str, float, int]:
+        """Null-table key: kind, parameter rounded to 1e-6, and order."""
+        return (self.kind, round(self.param, 6), self.order)
 
     def closed_form(self, t):
         """Evaluate kappa on inner products t (scalar or array) in [-1, 1]."""

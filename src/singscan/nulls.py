@@ -11,7 +11,7 @@ from __future__ import annotations
 import struct
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,26 +28,46 @@ DEFAULT_N_SIMS = 1000
 MIN_N_REF = 50
 MIN_N_SIMS = 200
 
-_MAGIC = b"SSNULL01"
-_HEADER = struct.Struct("<8sIIdIIQ")
+# The file header: the magic, then the table's identity (d, kind code,
+# param, order, n_ref, n_sims, seed).
+_MAGIC = b"SSNULL02"
+_HEADER = struct.Struct("<8sIIdIIIQ")
 _KIND_CODES = {GEOMETRIC: 0, EXP_DOT: 1}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 
 @dataclass(frozen=True)
 class NullTable:
-    """Simulated null distribution of n_ref * MMD^2 for one disk dimension."""
+    """Simulated null distribution of n_ref * MMD^2 for one disk dimension.
+
+    The fields before ``stats`` are the table's identity, everything it
+    depends on (``kind``, ``param`` and ``order`` as in the kernel's
+    fingerprint).  The exponential tail is fitted on construction: MLE to
+    the exceedances above the (1 - TAIL_MASS) quantile.
+    """
 
     d: int
     kind: str
     param: float
+    order: int
     n_ref: int
     n_sims: int
     seed: int
     stats: np.ndarray
-    tail_rate: float
-    tail_anchor: float
-    tail_mass: float = TAIL_MASS
+    tail_rate: float = field(init=False)
+    tail_anchor: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        stats = self.stats
+        if stats.size != self.n_sims:
+            raise ValueError("stats length does not match n_sims")
+        if not np.all(np.isfinite(stats)) or np.any(np.diff(stats) < 0) or np.any(stats < 0):
+            raise ValueError("stats not a sorted nonnegative array")
+        anchor = float(np.quantile(stats, 1.0 - TAIL_MASS))
+        excess = stats[stats > anchor] - anchor
+        if excess.size == 0 or excess.mean() <= 0.0:
+            raise ValueError("null degenerate: no positive tail exceedances")
+        object.__setattr__(self, "tail_rate", 1.0 / float(excess.mean()))
+        object.__setattr__(self, "tail_anchor", anchor)
 
 
 def sample_uniform_ball(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -62,15 +82,6 @@ def sample_uniform_ball(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     norms[norms == 0.0] = 1.0
     radii = rng.random(n) ** (1.0 / d)
     return g * (radii / norms)[:, None]
-
-
-def _fit_tail(stats: np.ndarray) -> tuple[float, float]:
-    """MLE exponential fit to exceedances above the (1 - TAIL_MASS) quantile."""
-    anchor = float(np.quantile(stats, 1.0 - TAIL_MASS))
-    excess = stats[stats > anchor] - anchor
-    if excess.size == 0 or excess.mean() <= 0.0:
-        raise ValueError("null degenerate: no positive tail exceedances")
-    return 1.0 / float(excess.mean()), anchor
 
 
 def build_null(
@@ -101,9 +112,7 @@ def build_null(
         stack = np.stack([sample_uniform_ball(d, n_ref, c) for c in children[a : a + per_chunk]])
         stats[a : a + len(stack)] = n_ref * mmd_sq_stack(stack, kernel)
     stats.sort()
-    rate, anchor = _fit_tail(stats)
-    kind, param = kernel.fingerprint()
-    return NullTable(d, kind, param, n_ref, n_sims, seed, stats, rate, anchor)
+    return NullTable(d, *kernel.fingerprint(), n_ref, n_sims, seed, stats)
 
 
 def p_value(table: NullTable, k_obs, mmd_sq_obs):
@@ -124,54 +133,51 @@ def p_value(table: NullTable, k_obs, mmd_sq_obs):
     if np.any(tail):
         p = np.asarray(p, dtype=float)
         p[tail] = np.maximum(
-            table.tail_mass * np.exp(-table.tail_rate * (s[tail] - table.tail_anchor)),
+            TAIL_MASS * np.exp(-table.tail_rate * (s[tail] - table.tail_anchor)),
             P_FLOOR,
         )
     return float(p) if np.ndim(p) == 0 else p
 
 
-def _table_filename(d: int, kind: str, param: float, n_ref: int, n_sims: int, seed: int) -> str:
-    return f"null_d{d}_{kind}{round(param, 6):g}_{n_ref}_{n_sims}_s{seed}.bin"
+def _table_filename(identity: tuple) -> str:
+    return "null_d{}_{}{:.15g}_o{}_{}_{}_s{}.bin".format(*identity)
 
 
-def _write_table(path: Path, table: NullTable) -> None:
-    header = _HEADER.pack(
-        _MAGIC,
-        table.d,
-        _KIND_CODES[table.kind],
-        table.param,
-        table.n_ref,
-        table.n_sims,
-        table.seed,
-    )
-    atomic_write_bytes(path, header + table.stats.astype("<f8").tobytes())
+def _header(identity: tuple) -> bytes:
+    d, kind, *rest = identity
+    return _HEADER.pack(_MAGIC, d, _KIND_CODES[kind], *rest)
 
 
-def _read_table(path: Path) -> NullTable:
+def _seed_entropy(identity: tuple) -> list[int]:
+    """Entropy of a table's build: its identity with the parameter in
+    millionths and without ``order``, which keeps every table as earlier
+    versions built it."""
+    d, kind, param, _, n_ref, n_sims, seed = identity
+    return [seed, d, _KIND_CODES[kind], int(round(param * 1e6)), n_ref, n_sims]
+
+
+def _write_table(path: Path, identity: tuple, stats: np.ndarray) -> None:
+    atomic_write_bytes(path, _header(identity) + stats.astype("<f8").tobytes())
+
+
+def _read_table(path: Path, identity: tuple) -> NullTable:
+    """The table stored at ``path``; ValueError unless its header is
+    ``identity``'s and its statistics are whole."""
     raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError("truncated header")
-    magic, d, kind_code, param, n_ref, n_sims, seed = _HEADER.unpack_from(raw)
-    if magic != _MAGIC or kind_code not in _KIND_NAMES:
-        raise ValueError("bad magic or kind")
-    stats = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).copy()
-    if stats.size != n_sims:
-        raise ValueError("stats length does not match header")
-    if not np.all(np.isfinite(stats)) or np.any(np.diff(stats) < 0) or np.any(stats < 0):
-        raise ValueError("stats not a sorted nonnegative array")
-    rate, anchor = _fit_tail(stats)
-    return NullTable(d, _KIND_NAMES[kind_code], param, n_ref, n_sims, seed, stats, rate, anchor)
+    if raw[: _HEADER.size] != _header(identity):
+        raise ValueError("header does not match the table's identity")
+    return NullTable(*identity, np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).copy())
 
 
 class NullCache:
     """Lazily built, optionally disk-backed store of null tables.
 
-    Tables are keyed by (d, kernel fingerprint, n_ref, n_sims); the build seed
-    is derived from the configured seed and the key, so the table for a given
-    key is the same no matter in which order dimensions are encountered.  On
-    disk the file name holds the key and the seed, so caches of several seeds
-    share a directory.  A persisted table whose header does not match the key
-    and seed (or that fails to parse) is rebuilt and overwritten.
+    A table is keyed by its identity: d, the kernel's fingerprint, n_ref,
+    n_sims and the configured seed.  The identity names the table's file,
+    fills its header and seeds its build, so the table for a given identity
+    is the same no matter in which order dimensions are encountered, and
+    caches of several seeds share a directory.  A file that fails to parse,
+    or whose header is not its identity's, is rebuilt and overwritten.
     """
 
     def __init__(
@@ -188,51 +194,24 @@ class NullCache:
         self._tables: dict[tuple, NullTable] = {}
         self._lock = threading.RLock()
 
-    def _derived_seed_entropy(self, d: int, kernel: PowerSeriesKernel) -> list[int]:
-        kind, param = kernel.fingerprint()
-        return [
-            self.seed,
-            d,
-            _KIND_CODES[kind],
-            int(round(param * 1e6)),
-            self.n_ref,
-            self.n_sims,
-        ]
-
-    def _build(self, d: int, kernel: PowerSeriesKernel) -> NullTable:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(self._derived_seed_entropy(d, kernel))
-        )
-        return build_null(d, kernel, self.n_ref, self.n_sims, rng, seed=self.seed)
-
     def get(self, d: int, kernel: PowerSeriesKernel) -> NullTable:
-        kind, param = kernel.fingerprint()
-        key = (d, kind, param, self.n_ref, self.n_sims)
+        identity = (d, *kernel.fingerprint(), self.n_ref, self.n_sims, self.seed)
         with self._lock:
-            table = self._tables.get(key)
-            if table is not None:
-                return table
-            if self.directory is not None:
-                self.directory.mkdir(parents=True, exist_ok=True)
-                path = self.directory / _table_filename(*key, self.seed)
-                if path.exists():
-                    try:
-                        table = _read_table(path)
-                        if (
-                            (table.d, table.kind, table.param, table.n_ref, table.n_sims)
-                            != key
-                            or table.seed != self.seed
-                        ):
-                            raise ValueError("header does not match key or seed")
-                    except ValueError as exc:
-                        warnings.warn(
-                            f"rebuilding null table {path.name}: {exc}", stacklevel=2
-                        )
-                        table = None
-                if table is None:
-                    table = self._build(d, kernel)
-                    _write_table(path, table)
-            else:
-                table = self._build(d, kernel)
-            self._tables[key] = table
-            return table
+            if identity not in self._tables:
+                self._tables[identity] = self._load(identity, kernel)
+            return self._tables[identity]
+
+    def _load(self, identity: tuple, kernel: PowerSeriesKernel) -> NullTable:
+        """Read the table's file; else build the table, with a warning if the
+        file was there, and write it."""
+        path = None if self.directory is None else self.directory / _table_filename(identity)
+        if path is not None and path.exists():
+            try:
+                return _read_table(path, identity)
+            except ValueError as exc:
+                warnings.warn(f"rebuilding null table {path.name}: {exc}", stacklevel=3)
+        rng = np.random.default_rng(np.random.SeedSequence(_seed_entropy(identity)))
+        table = build_null(identity[0], kernel, self.n_ref, self.n_sims, rng, seed=self.seed)
+        if path is not None:
+            _write_table(path, identity, table.stats)
+        return table

@@ -125,11 +125,16 @@ def test_mh_test_from_scores(tmp_path, disk_csv, null_cache):
     assert payload["n_used"] > 50
 
 
-def test_mh_test_small_sample_drops_upup(tmp_path):
-    scores = tmp_path / "small_scores.csv"
+def _small_scores(path):
+    """A 30-row scores CSV at ``path``."""
     header = "index,est_dim,k_obs,mmd,p_value,log_inv_p,label"
     rows = [f"{i},1,20,0.001,{0.1 + 0.02*i:.3f},{-math.log(0.1 + 0.02*i):.5f},0" for i in range(30)]
-    scores.write_text(header + "\n" + "\n".join(rows) + "\n")
+    path.write_text(header + "\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def test_mh_test_small_sample_drops_upup(tmp_path):
+    scores = _small_scores(tmp_path / "small_scores.csv")
     out = tmp_path / "mh_small.json"
     assert main(["mh-test", "--scores", str(scores), "--output", str(out)]) == 0
     payload = json.loads(out.read_text())
@@ -303,6 +308,33 @@ def test_out_of_range_flag_is_exit_2(tmp_path, disk_csv, capsys, command, extra)
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "nulls").exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--input", "/nonexistent.csv"],
+    ["--radius", "0.1"],
+    ["--knn", "5"],
+    ["--eta", "0.3"],
+    ["--subsample", "0.5"],
+])
+def test_mh_test_scores_rejects_scoring_flags(tmp_path, capsys, extra):
+    scores = _small_scores(tmp_path / "scores.csv")
+    assert main(["mh-test", "--scores", str(scores), *extra]) == 2
+    assert extra[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mh-test", "roc"])
+def test_non_numeric_scores_cell_is_exit_2(tmp_path, capsys, command):
+    scores = _small_scores(tmp_path / "scores.csv")
+    lines = scores.read_text().splitlines()
+    lines[3] = lines[3].replace("0.001", "abc")
+    scores.write_text("\n".join(lines) + "\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("0\n1\n" * 15)
+    extra = ["--labels", str(labels)] if command == "roc" else []
+    assert main([command, "--scores", str(scores), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "scores.csv:4:" in err
 
 
 @pytest.mark.parametrize("values", [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -391,3 +393,24 @@ def test_local_scale_dim_does_not_depend_on_chunking(monkeypatch):
     # A 4 KB block holds one distance row, so every probe is its own query.
     monkeypatch.setattr("singscan.geometry.BLOCK_BYTES", 4096)
     assert _local_scale_with_dim(cloud) == batched
+
+
+def test_knn_tie_rounds_stay_within_the_chunk_budget(monkeypatch):
+    # The copies' rows ask again with want doubled up to the 1,000 copies;
+    # each round must still go in parts of about BLOCK_BYTES.
+    monkeypatch.setattr("singscan.geometry.BLOCK_BYTES", 2**20)
+    rng = np.random.default_rng(0)
+    cloud = np.vstack([np.zeros((1000, 3)), rng.standard_normal((1000, 3))])
+    index = NeighborIndex(cloud)
+    tracemalloc.start()
+    try:
+        parts = list(index.knn_members_batch(np.arange(2000), 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    dist = np.linalg.norm(cloud[:, None] - cloud[None], axis=2)
+    np.fill_diagonal(dist, np.inf)
+    order = np.lexsort((np.broadcast_to(np.arange(2000), dist.shape), dist), axis=1)[:, :5]
+    assert np.array_equal(np.vstack([m for _, m, _ in parts]), order)
+    assert np.array_equal(np.vstack([d for _, _, d in parts]), np.take_along_axis(dist, order, 1))

@@ -21,7 +21,7 @@ from singscan import (
     sample_uniform_ball,
 )
 from singscan.kernels import series_terms
-from singscan.nulls import _read_table
+from singscan.nulls import TAIL_MASS, _read_table, _seed_entropy
 
 KERN = PowerSeriesKernel("geometric", 0.5)
 
@@ -99,8 +99,8 @@ def test_p_value_branches(null_cache):
     eps = 1e-9
     below = p_value(table, 1, table.tail_anchor - eps)
     above = p_value(table, 1, table.tail_anchor + eps)
-    assert below == pytest.approx(table.tail_mass, abs=2.0 / table.n_sims)
-    assert above == pytest.approx(table.tail_mass, rel=1e-6)
+    assert below == pytest.approx(TAIL_MASS, abs=2.0 / table.n_sims)
+    assert above == pytest.approx(TAIL_MASS, rel=1e-6)
     # deep tail floors instead of hitting zero
     assert p_value(table, 10**6, 1.0) == 1e-300
 
@@ -148,7 +148,7 @@ def test_cache_cold_then_warm(tmp_path):
     cache = NullCache(tmp_path, seed=0, n_ref=60, n_sims=200)
     t1 = cache.get(2, KERN)
     assert t1.d == 2 and t1.n_sims == 200
-    assert list(tmp_path.glob("null_*.bin")) == [tmp_path / "null_d2_geometric0.5_60_200_s0.bin"]
+    assert list(tmp_path.glob("null_*.bin")) == [tmp_path / "null_d2_geometric0.5_o32_60_200_s0.bin"]
     fresh = NullCache(tmp_path, seed=0, n_ref=60, n_sims=200)
     t2 = fresh.get(2, KERN)
     assert np.array_equal(t1.stats, t2.stats)
@@ -176,10 +176,10 @@ def test_cache_recovers_from_truncation(tmp_path):
 
 
 def test_cache_rebuilds_on_seed_mismatch(tmp_path):
-    NullCache(tmp_path, seed=0, n_ref=60, n_sims=200).get(2, KERN)
+    t0 = NullCache(tmp_path, seed=0, n_ref=60, n_sims=200).get(2, KERN)
     # A seed-0 table under the seed-1 name: the header's seed disagrees.
-    seed0 = tmp_path / "null_d2_geometric0.5_60_200_s0.bin"
-    seed0.rename(tmp_path / "null_d2_geometric0.5_60_200_s1.bin")
+    seed0 = tmp_path / "null_d2_geometric0.5_o32_60_200_s0.bin"
+    seed0.rename(tmp_path / "null_d2_geometric0.5_o32_60_200_s1.bin")
     other = NullCache(tmp_path, seed=1, n_ref=60, n_sims=200)
     with pytest.warns(UserWarning, match="rebuilding"):
         t_other = other.get(2, KERN)
@@ -190,19 +190,25 @@ def test_cache_rebuilds_on_seed_mismatch(tmp_path):
         60,
         200,
         np.random.default_rng(
-            np.random.SeedSequence(other._derived_seed_entropy(2, KERN))
+            np.random.SeedSequence(_seed_entropy((2, *KERN.fingerprint(), 60, 200, 1)))
         ),
         seed=1,
     )
     assert np.array_equal(t_other.stats, direct.stats)
+    # An order-4 table under the order-32 name: the header's order disagrees.
+    NullCache(tmp_path, seed=0, n_ref=60, n_sims=200).get(2, PowerSeriesKernel("geometric", 0.5, 4))
+    (tmp_path / "null_d2_geometric0.5_o4_60_200_s0.bin").rename(seed0)
+    with pytest.warns(UserWarning, match="rebuilding"):
+        t32 = NullCache(tmp_path, seed=0, n_ref=60, n_sims=200).get(2, KERN)
+    assert t32.order == 32 and np.array_equal(t32.stats, t0.stats)
 
 
 def test_caches_of_two_seeds_share_a_directory(tmp_path):
     t0 = NullCache(tmp_path, seed=0, n_ref=60, n_sims=200).get(2, KERN)
     t3 = NullCache(tmp_path, seed=3, n_ref=60, n_sims=200).get(2, KERN)
     assert sorted(f.name for f in tmp_path.glob("null_*.bin")) == [
-        "null_d2_geometric0.5_60_200_s0.bin",
-        "null_d2_geometric0.5_60_200_s3.bin",
+        "null_d2_geometric0.5_o32_60_200_s0.bin",
+        "null_d2_geometric0.5_o32_60_200_s3.bin",
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -229,6 +235,35 @@ def test_kernel_fingerprint_rounds_to_micro():
     assert cache.get(1, a) is cache.get(1, b)
 
 
+def test_parameters_apart_by_a_millionth_get_two_files(tmp_path):
+    # Written to 6 significant digits, both names used to read "expdot2", so
+    # each cache rebuilt the other's table.
+    kernels = [PowerSeriesKernel("expdot", 2.000001), PowerSeriesKernel("expdot", 2.000002)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            for kern in kernels:
+                NullCache(tmp_path, seed=0, n_ref=60, n_sims=200).get(1, kern)
+    assert sorted(f.name for f in tmp_path.glob("null_*.bin")) == [
+        "null_d1_expdot2.000001_o32_60_200_s0.bin",
+        "null_d1_expdot2.000002_o32_60_200_s0.bin",
+    ]
+
+
+def test_kernels_of_two_orders_get_two_tables(tmp_path):
+    short, long = PowerSeriesKernel("geometric", 0.9, 4), PowerSeriesKernel("geometric", 0.9, 64)
+    memory = NullCache(None, seed=0, n_ref=60, n_sims=200)
+    assert not np.array_equal(memory.get(2, short).stats, memory.get(2, long).stats)
+    for kern in (short, long):
+        table = NullCache(tmp_path, seed=0, n_ref=60, n_sims=200).get(2, kern)
+        assert table.order == kern.order
+        assert np.array_equal(table.stats, memory.get(2, kern).stats)
+    assert sorted(f.name for f in tmp_path.glob("null_*.bin")) == [
+        "null_d2_geometric0.9_o4_60_200_s0.bin",
+        "null_d2_geometric0.9_o64_60_200_s0.bin",
+    ]
+
+
 def test_cache_safe_under_concurrent_access(tmp_path):
     from concurrent.futures import ThreadPoolExecutor
 
@@ -239,19 +274,19 @@ def test_cache_safe_under_concurrent_access(tmp_path):
     assert len(list(tmp_path.glob("null_*.bin"))) == 1
 
 
-_WRITER = textwrap.dedent("""
+_IDENTITY = (2, "geometric", 0.5, 32, 100, 200, 0)
+_WRITER = f"IDENTITY = {_IDENTITY!r}\n" + textwrap.dedent("""
     import sys
     from pathlib import Path
 
     import numpy as np
 
     from singscan.io import atomic_write_text
-    from singscan.nulls import NullTable, _write_table
+    from singscan.nulls import _write_table
 
     root = Path(sys.argv[1])
-    table = NullTable(2, "geometric", 0.5, 100, 200, 0, np.linspace(0.0, 1.0, 200), 1.0, 0.9)
     for _ in range(300):
-        _write_table(root / "null.bin", table)
+        _write_table(root / "null.bin", IDENTITY, np.linspace(0.0, 1.0, 200))
         atomic_write_text(root / "out.csv", "0.5,0.25\\n" * 1000)
 """)
 
@@ -270,7 +305,7 @@ def test_concurrent_writers_share_a_table_and_an_output(tmp_path):
     for proc in procs:
         _, err = proc.communicate(timeout=300)
         assert proc.returncode == 0, err.decode()
-    table = _read_table(tmp_path / "null.bin")
+    table = _read_table(tmp_path / "null.bin", _IDENTITY)
     assert np.array_equal(table.stats, np.linspace(0.0, 1.0, 200))
     assert (tmp_path / "out.csv").read_text() == "0.5,0.25\n" * 1000
     assert not list(tmp_path.glob("*.tmp"))
