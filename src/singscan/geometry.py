@@ -33,6 +33,8 @@ CACHE_BYTES = 2**20
 # their vector), which tracemalloc does not see; tracemalloc puts the sort
 # key, masks and indices alive beside them at 24 B more.  k-NN queries hold
 # less: 8-byte arrays of indices, tree and pair distances and sort order.
+# These bytes count against half of BLOCK_BYTES, since the scoring pipeline
+# holds two chunks at once (``NeighborIndex._chunks``).
 _BYTES_PER_MEMBER = 80
 
 
@@ -126,10 +128,13 @@ class NeighborIndex:
 
     def _chunks(self, queries: np.ndarray, members):
         """Consecutive slices of ``queries`` whose neighbor gathering stays
-        within about BLOCK_BYTES.  Brute force holds a distance row per query
-        twice (distances and the partition that finds the nearest); a
+        within about BLOCK_BYTES / 2.  Brute force holds a distance row per
+        query twice (distances and the partition that finds the nearest); a
         KD-tree chunk holds ``members`` (per query, or one count for all)
-        gathered neighbors per query at _BYTES_PER_MEMBER each."""
+        gathered neighbors per query at _BYTES_PER_MEMBER each.  Half the
+        budget, because the scoring pipeline (``uniformity._mmd_columns``)
+        gathers one chunk while the one before it is still being scored, and
+        the two share one BLOCK_BYTES."""
         if self._brute:
             cost = np.full(len(queries), 16 * self.n)
         else:
@@ -137,7 +142,7 @@ class NeighborIndex:
         ends = np.cumsum(cost)
         start = 0
         while start < len(queries):
-            limit = ends[start] - cost[start] + BLOCK_BYTES
+            limit = ends[start] - cost[start] + BLOCK_BYTES // 2
             stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
             yield queries[start:stop]
             start = stop

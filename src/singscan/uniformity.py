@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,6 +151,13 @@ def _mmd_columns(coords: np.ndarray, queries: np.ndarray, neighborhood: Radius |
     on the leading principal axes, and the MMD of a neighborhood at
     dimension d is taken on its first d coordinates.  Neither depends on
     the other neighborhoods of the stack, so neither does the order.
+
+    A two-stage pipeline: this thread gathers and decomposes a chunk while
+    one worker thread computes the MMDs of the chunk before it.  The tree
+    queries and LAPACK release the GIL, and the worker makes no LAPACK call.
+    The chunks are scored in order, one at a time, so every output and
+    every failure is the same as on one thread.  The two live chunks share
+    one BLOCK_BYTES budget (``NeighborIndex._chunks``).
     """
     dim = coords.shape[1]
     m = len(queries)
@@ -157,43 +165,60 @@ def _mmd_columns(coords: np.ndarray, queries: np.ndarray, neighborhood: Radius |
     d_hat = np.full((len(etas), m), np.nan)
     mmd = np.full((len(kernels), len(etas), m), np.nan)
     failed: dict[int, Exception] = {}
-    index = NeighborIndex(coords)
-    for chunk, counts, members, scales in _neighborhood_chunks(index, queries, neighborhood):
-        # Queries are ascending, so this is each chunk query's position.
-        at = np.searchsorted(queries, chunk)
-        k_obs[at] = counts
-        starts = np.cumsum(counts) - counts
-        for k in np.unique(counts[counts >= MIN_NEIGHBORHOOD]):
-            group = np.flatnonzero(counts == k)
-            per_stack = max(1, BLOCK_BYTES // (8 * k * dim))
-            for a in range(0, len(group), per_stack):
-                sel = group[a : a + per_stack]
-                stack = coords[members[starts[sel, None] + np.arange(k)]]
-                stack -= coords[chunk[sel], None]
-                # A neighborhood whose members all sit on the center (a ball
-                # of copies, or a zero k-th neighbor distance) rescales to
-                # zeros, which have no spectrum to test: it stays NaN.
-                stack /= np.where(scales[sel] > 0, scales[sel], np.inf)[:, None, None]
-                spread = stack.any(axis=(1, 2))
-                if not spread.all():
-                    sel, stack = sel[spread], stack[spread]
-                    if not sel.size:
+
+    def score(stacks):
+        # The worker's stage: every MMD of one chunk's decomposed stacks.
+        for where, dims, projected in stacks:
+            for d in np.unique(dims):
+                rows = np.flatnonzero((dims == d).any(axis=0))
+                for j, kernel in enumerate(kernels):
+                    if j in failed:
                         continue
-                dims, projected = local_pca_stack(stack, etas)
-                d_hat[:, at[sel]] = dims
-                for d in np.unique(dims):
-                    rows = np.flatnonzero((dims == d).any(axis=0))
-                    for j, kernel in enumerate(kernels):
-                        if j in failed:
+                    try:
+                        values = mmd_sq_stack(projected[rows, :, :d], kernel)
+                    except (ValueError, RuntimeError) as exc:
+                        failed[j] = exc
+                        continue
+                    for e in range(len(etas)):
+                        hit = dims[e, rows] == d
+                        mmd[j, e, where[rows[hit]]] = values[hit]
+
+    index = NeighborIndex(coords)
+    scoring = None
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for chunk, counts, members, scales in _neighborhood_chunks(index, queries, neighborhood):
+            # Queries are ascending, so this is each chunk query's position.
+            at = np.searchsorted(queries, chunk)
+            k_obs[at] = counts
+            starts = np.cumsum(counts) - counts
+            stacks = []
+            for k in np.unique(counts[counts >= MIN_NEIGHBORHOOD]):
+                group = np.flatnonzero(counts == k)
+                per_stack = max(1, BLOCK_BYTES // (8 * k * dim))
+                for a in range(0, len(group), per_stack):
+                    sel = group[a : a + per_stack]
+                    stack = coords[members[starts[sel, None] + np.arange(k)]]
+                    stack -= coords[chunk[sel], None]
+                    # A neighborhood whose members all sit on the center (a
+                    # ball of copies, or a zero k-th neighbor distance)
+                    # rescales to zeros, which have no spectrum to test: it
+                    # stays NaN.
+                    stack /= np.where(scales[sel] > 0, scales[sel], np.inf)[:, None, None]
+                    spread = stack.any(axis=(1, 2))
+                    if not spread.all():
+                        sel, stack = sel[spread], stack[spread]
+                        if not sel.size:
                             continue
-                        try:
-                            values = mmd_sq_stack(projected[rows, :, :d], kernel)
-                        except (ValueError, RuntimeError) as exc:
-                            failed[j] = exc
-                            continue
-                        for e in range(len(etas)):
-                            hit = dims[e, rows] == d
-                            mmd[j, e, at[sel[rows[hit]]]] = values[hit]
+                    dims, projected = local_pca_stack(stack, etas)
+                    d_hat[:, at[sel]] = dims
+                    stacks.append((at[sel], dims, projected))
+            # The chunk before is scored, its failures recorded, before this
+            # one is handed over: at most one chunk is in flight.
+            if scoring is not None:
+                scoring.result()
+            scoring = worker.submit(score, stacks)
+        if scoring is not None:
+            scoring.result()
     return k_obs, d_hat, mmd, failed
 
 

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from singscan import (
     score_columns,
     score_configurations,
     singularity_scores,
+    synth,
+    uniformity,
     uniformity_test,
 )
 
@@ -370,3 +374,119 @@ def test_coincident_cluster_is_untestable(hood, null_cache):
     assert np.isfinite(cols.p_value[:500]).sum() > 400
     rows = singularity_scores(cloud, params, null_cache)
     assert all(r.d_hat is None and r.p_value is None for r in rows[500:])
+
+
+def _many_chunk_case(case):
+    """A cloud and a rule that fit one chunk at the default budget and split
+    into many at a budget of 1 MB: radius balls of about 60 on the KD path,
+    or k-NN by brute-force distance rows (D = 25)."""
+    rng = np.random.default_rng(49)
+    if case == "radius_kd":
+        cloud = _disk_cloud(1500, 49, query_at_origin=False)
+        cloud[:, 2] = 0.05 * rng.standard_normal(len(cloud))
+        return cloud, Radius(0.2)
+    basis, _ = np.linalg.qr(rng.standard_normal((25, 3)))
+    cloud = sample_uniform_ball(3, 600, rng) @ basis.T
+    cloud += 0.01 * rng.standard_normal(cloud.shape)
+    return cloud, Knn(30)
+
+
+def _chunks(cloud, hood):
+    return list(uniformity._neighborhood_chunks(NeighborIndex(cloud), np.arange(len(cloud)), hood))
+
+
+def _assert_same_columns(a, b):
+    for name in ("k_obs", "d_hat", "mmd", "p_value"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+
+
+@pytest.mark.parametrize("case", ["radius_kd", "knn_brute"])
+def test_pipelined_chunks_match_one_chunk(case, null_cache, monkeypatch):
+    # Each chunk is scored on the worker thread while the next is gathered;
+    # the columns must not depend on how many chunks there were.
+    cloud, hood = _many_chunk_case(case)
+    etas = (0.7, 0.9)
+    kernels = (PowerSeriesKernel("geometric", 0.3), PowerSeriesKernel("expdot", 2.0))
+    assert len(_chunks(cloud, hood)) == 1
+    whole = score_configurations(cloud, hood, etas, kernels, null_cache)
+    monkeypatch.setattr("singscan.geometry.BLOCK_BYTES", 2**20)
+    assert len(_chunks(cloud, hood)) >= 5
+    chunked = score_configurations(cloud, hood, etas, kernels, null_cache)
+    points = np.arange(0, len(cloud), 25)
+    for (e, eta), (j, kern) in itertools.product(enumerate(etas), enumerate(kernels)):
+        cols = chunked(e, j)
+        _assert_same_columns(cols, whole(e, j))
+        at_points = uniformity.Scores(*(col[points] for col in dataclasses.astuple(cols)))
+        oracle = _oracle_columns(cloud, Hyperparams(hood, eta, kern), null_cache, points)
+        _assert_matches_oracle(at_points, oracle)
+
+
+def test_kernel_failing_in_a_later_chunk_fails_alone(null_cache, monkeypatch):
+    cloud, hood = _many_chunk_case("radius_kd")
+    kernels = (PowerSeriesKernel("geometric", 0.3), PowerSeriesKernel("expdot", 2.0))
+    whole = score_configurations(cloud, hood, (0.8,), kernels, null_cache)(0, 0)
+    monkeypatch.setattr("singscan.geometry.BLOCK_BYTES", 2**20)
+    # KD-tree chunks come in ascending ball size, so balls this large first
+    # arrive several chunks in, after the kernel has scored the earlier ones.
+    big = int(np.quantile(whole.k_obs, 0.9))
+    chunks = _chunks(cloud, hood)
+    first = next(i for i, (_, counts, _, _) in enumerate(chunks) if counts.max() >= big)
+    assert 2 <= first < len(chunks)
+    real = uniformity.mmd_sq_stack
+
+    def failing(stack, kernel):
+        if kernel.kind == "expdot" and stack.shape[1] >= big:
+            raise RuntimeError("expdot fails on large balls")
+        return real(stack, kernel)
+
+    monkeypatch.setattr(uniformity, "mmd_sq_stack", failing)
+    scores = score_configurations(cloud, hood, (0.8,), kernels, null_cache)
+    with pytest.raises(RuntimeError, match="expdot fails on large balls"):
+        scores(0, 1)
+    _assert_same_columns(scores(0, 0), whole)
+
+
+def test_no_thread_outlives_a_scoring_call(null_cache, monkeypatch):
+    cloud, hood = _many_chunk_case("radius_kd")
+    params = Hyperparams(hood, 0.8, KERN)
+    monkeypatch.setattr("singscan.geometry.BLOCK_BYTES", 2**20)
+    before = threading.active_count()
+    assert np.isfinite(score_columns(cloud, params, null_cache).p_value).any()
+    assert threading.active_count() == before
+
+    class Injected(Exception):
+        pass
+
+    real = uniformity._neighborhood_chunks
+
+    def third_chunk_fails(*args):
+        # Two chunks have been handed to the worker by then.
+        for i, chunk in enumerate(real(*args)):
+            if i == 2:
+                raise Injected
+            yield chunk
+
+    monkeypatch.setattr(uniformity, "_neighborhood_chunks", third_chunk_fails)
+    with pytest.raises(Injected):
+        score_columns(cloud, params, null_cache)
+    assert threading.active_count() == before
+
+
+def test_pipelined_peak_memory_within_the_serial_peak(monkeypatch):
+    # The chunk being scored and the chunk being gathered share one budget.
+    monkeypatch.setattr("singscan.geometry.BLOCK_BYTES", 2 * 2**20)
+    monkeypatch.setattr("singscan.uniformity.BLOCK_BYTES", 2 * 2**20)
+    spec = synth.ShapeSpec("two_disks", 22500, dim=1, noise_amplitude=0.0, seed=5)
+    cloud = synth.generate(spec).cloud
+    queries = np.arange(len(cloud))
+    kernels = (PowerSeriesKernel("expdot", 2.0),)
+    tracemalloc.start()
+    try:
+        uniformity._mmd_columns(cloud, queries, Radius(0.1), (0.95,), kernels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The same call, when every chunk was scored on the calling thread at the
+    # whole budget, peaked at 5,805,206 to 5,806,930 B over three runs
+    # (Python 3.11.7, NumPy 2.4.6, SciPy 1.17.1); the pipeline read 4.8-5.1 MB.
+    assert peak <= 5_805_206
