@@ -194,8 +194,11 @@ class NeighborIndex:
         queries = np.asarray(queries, dtype=np.intp)
         counted = None
         if not self._brute:
-            # Counted first, so that no chunk gathers more than its budget.
-            counted = self._tree.query_ball_point(self.coords[queries], r, return_length=True)
+            # Counted first, so that no chunk gathers more than its budget;
+            # on two threads, since the scoring pipeline's worker is idle.
+            counted = self._tree.query_ball_point(
+                self.coords[queries], r, return_length=True, workers=2
+            )
             order = np.argsort(counted, kind="stable")
             queries, counted = queries[order], counted[order]
         for chunk in self._chunks(queries, counted):

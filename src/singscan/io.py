@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 from scipy.fft import dctn, idctn
 
+from .scoring import log_inv_p
+
 SCORES_HEADER = ["index", "est_dim", "k_obs", "mmd", "p_value", "log_inv_p", "label"]
 GRID_REPORT_HEADER = ["r", "eta", "alpha", "dispersion", "n_singular", "warn_degenerate"]
 
@@ -114,17 +116,18 @@ def write_point_cloud_csv(path: str | Path, coords: np.ndarray) -> None:
 
 def write_scores_csv(path: str | Path, scores, labels) -> None:
     """Per-point detect output of a ``Scores``: index, est_dim, k_obs, mmd,
-    p_value, log_inv_p, label.  Missing score fields are left empty."""
+    p_value, log_inv_p, label.  log_inv_p is ``scoring.log_inv_p``, the score
+    the knee filter reads.  Missing score fields are left empty."""
     lines = [",".join(SCORES_HEADER)]
     columns = zip(
         scores.k_obs.tolist(), scores.d_hat.tolist(), scores.mmd.tolist(),
-        scores.p_value.tolist(), np.asarray(labels).tolist(),
+        scores.p_value.tolist(), log_inv_p(scores.p_value).tolist(), np.asarray(labels).tolist(),
     )
-    for i, (k, d, mmd, p, label) in enumerate(columns):
+    for i, (k, d, mmd, p, score, label) in enumerate(columns):
         if math.isnan(p):
             lines.append(f"{i},,{k},,,,{label}")
         else:
-            lines.append(f"{i},{int(d)},{k},{mmd:.17g},{p:.17g},{-math.log(p):.17g},{label}")
+            lines.append(f"{i},{int(d)},{k},{mmd:.17g},{p:.17g},{score:.17g},{label}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import struct
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -77,11 +78,23 @@ def sample_uniform_ball(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """
     if d < 1 or n < 1:
         raise ValueError("d and n must be >= 1")
-    g = rng.standard_normal((n, d))
-    norms = np.linalg.norm(g, axis=1)
+    return _ball_samples(d, n, [rng])[0]
+
+
+def _ball_samples(d: int, n: int, rngs) -> np.ndarray:
+    """(len(rngs), n, d) stack of samples of ``sample_uniform_ball``, sample
+    i drawn from ``rngs[i]``: its (n, d) standard normals, then its n
+    uniforms.  The norms, radii and scaling are taken over the whole stack."""
+    normals = np.empty((len(rngs), n, d))
+    uniforms = np.empty((len(rngs), n))
+    for rng, g, u in zip(rngs, normals, uniforms):
+        rng.standard_normal(out=g)
+        rng.random(out=u)
+    norms = np.linalg.norm(normals, axis=2)
     norms[norms == 0.0] = 1.0
-    radii = rng.random(n) ** (1.0 / d)
-    return g * (radii / norms)[:, None]
+    radii = uniforms ** (1.0 / d)
+    normals *= (radii / norms)[:, :, None]
+    return normals
 
 
 def build_null(
@@ -94,12 +107,16 @@ def build_null(
 ) -> NullTable:
     """Simulate n_sims independent values of n_ref * MMD^2 under the null.
 
-    Sample i is drawn from the i-th child spawned from ``rng``; the samples
-    are stacked in chunks of about BLOCK_BYTES, one ``mmd_sq_stack`` call per
-    chunk, and each value does not depend on the chunking.  At d = 1 a
-    sample's Gram comes from power sums when n_ref >= 4T; otherwise, and at
-    every d >= 2, from the closed form of its upper block-triangle in row
-    blocks of about CACHE_BYTES, which is most of the cost of a build.
+    Sample i is drawn from the i-th child spawned from ``rng``.  The samples
+    are split into two halves: this thread scores the first and one worker
+    thread the second, each in parts drawn as one array and scored by one
+    ``mmd_sq_stack`` call.  Two parts are alive at once, so each is planned
+    against BLOCK_BYTES / 2.  A value does not depend on its part or thread,
+    so the table is the same as on one thread.  At d = 1 a sample's Gram
+    comes from power sums when n_ref >= 4T; otherwise, and at every d >= 2,
+    from the closed form of its upper block-triangle in row blocks of about
+    CACHE_BYTES, which is most of the cost of a build and runs with the GIL
+    released.  The worker lives only for the call.
     """
     if n_ref < MIN_N_REF:
         raise ValueError(f"n_ref must be >= {MIN_N_REF}")
@@ -107,10 +124,20 @@ def build_null(
         raise ValueError(f"n_sims must be >= {MIN_N_SIMS}")
     stats = np.empty(n_sims)
     children = rng.spawn(n_sims)
-    per_chunk = max(1, BLOCK_BYTES // (8 * n_ref * d))
-    for a in range(0, n_sims, per_chunk):
-        stack = np.stack([sample_uniform_ball(d, n_ref, c) for c in children[a : a + per_chunk]])
-        stats[a : a + len(stack)] = n_ref * mmd_sq_stack(stack, kernel)
+    # A part holds its normals and its uniforms: d + 1 floats per point.
+    per_part = max(1, BLOCK_BYTES // 2 // (8 * n_ref * (d + 1)))
+
+    def score(lo: int, hi: int) -> None:
+        for a in range(lo, hi, per_part):
+            b = min(a + per_part, hi)
+            stack = _ball_samples(d, n_ref, children[a:b])
+            stats[a:b] = n_ref * mmd_sq_stack(stack, kernel)
+
+    half = n_sims // 2
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        second = worker.submit(score, half, n_sims)
+        score(0, half)
+        second.result()
     stats.sort()
     return NullTable(d, *kernel.fingerprint(), n_ref, n_sims, seed, stats)
 

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from singscan.io import InputError, read_point_cloud_csv, write_point_cloud_csv
+from singscan.io import (
+    InputError,
+    read_point_cloud_csv,
+    read_scores_csv,
+    write_point_cloud_csv,
+    write_scores_csv,
+)
+from singscan.scoring import log_inv_p
+from singscan.uniformity import Scores
 
 
 def _read(tmp_path, text):
@@ -77,3 +85,19 @@ def test_write_rows_byte_identical_to_per_value_format(tmp_path):
     write_point_cloud_csv(path, coords)
     assert np.array_equal(read_point_cloud_csv(path), coords)
     assert np.signbit(read_point_cloud_csv(path)[0, 0])
+
+
+def test_scores_csv_log_inv_p_is_the_filters_score(tmp_path):
+    # The column `roc --scores` ranks is, bit for bit, the log(1/p) that the
+    # knee filter and the evaluation compute, from p near 1 (where libm's
+    # log and NumPy's differ most often) down to the p-value floor.
+    rng = np.random.default_rng(0)
+    p = np.concatenate([
+        rng.random(50_000), 10.0 ** -rng.uniform(0.0, 300.0, 50_000), [1.0, 1e-300, np.nan]
+    ])
+    m = len(p)
+    scores = Scores(np.full(m, 20), np.where(np.isnan(p), np.nan, 2.0), np.full(m, 0.01), p)
+    write_scores_csv(tmp_path / "scores.csv", scores, np.zeros(m, dtype=int))
+    written = read_scores_csv(tmp_path / "scores.csv")
+    assert np.array_equal(written["p_value"], p, equal_nan=True)
+    assert np.array_equal(written["log_inv_p"], log_inv_p(p), equal_nan=True)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import warnings
 from pathlib import Path
 
@@ -21,7 +22,8 @@ from singscan import (
     sample_uniform_ball,
 )
 from singscan.kernels import series_terms
-from singscan.nulls import TAIL_MASS, _read_table, _seed_entropy
+from singscan import nulls
+from singscan.nulls import TAIL_MASS, _ball_samples, _read_table, _seed_entropy
 
 KERN = PowerSeriesKernel("geometric", 0.5)
 
@@ -65,6 +67,60 @@ def test_stacked_build_equals_per_sample_loop(d):
     table = build_null(d, kern, 500, 200, np.random.default_rng(40 + d))
     oracle = _per_sample_stats(d, kern, 500, 200, np.random.default_rng(40 + d))
     assert np.array_equal(table.stats, oracle)
+
+
+@pytest.mark.parametrize("parts", ["one", "several"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_threaded_build_equals_per_sample_loop(d, parts, monkeypatch):
+    # An odd n_sims splits into halves of 100 and 101 samples; at d = 1,
+    # expdot(2) takes the power sums.  "several": parts of 30 samples.
+    if parts == "several":
+        monkeypatch.setattr("singscan.nulls.BLOCK_BYTES", 2 * 8 * 500 * (d + 1) * 30)
+    kern = PowerSeriesKernel("expdot", 2.0)
+    table = build_null(d, kern, 500, 201, np.random.default_rng(50 + d))
+    oracle = _per_sample_stats(d, kern, 500, 201, np.random.default_rng(50 + d))
+    assert np.array_equal(table.stats, oracle)
+
+
+def _ball_reference(d, n, rng):
+    """``sample_uniform_ball`` written out one sample at a time."""
+    g = rng.standard_normal((n, d))
+    norms = np.linalg.norm(g, axis=1)
+    norms[norms == 0.0] = 1.0
+    radii = rng.random(n) ** (1.0 / d)
+    return g * (radii / norms)[:, None]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_stacked_draw_equals_sampler_child_by_child(d):
+    stack = _ball_samples(d, 77, np.random.default_rng(d).spawn(9))
+    assert stack.shape == (9, 77, d)
+    for sample, child, twin in zip(
+        stack, np.random.default_rng(d).spawn(9), np.random.default_rng(d).spawn(9)
+    ):
+        assert np.array_equal(sample, sample_uniform_ball(d, 77, child))
+        assert np.array_equal(sample, _ball_reference(d, 77, twin))
+
+
+def test_build_leaves_no_thread_behind(tmp_path, monkeypatch):
+    before = threading.active_count()
+    build_null(2, KERN, 60, 200, np.random.default_rng(0))
+    assert threading.active_count() == before
+    # The worker's half fails: the error reaches the caller of the cache,
+    # the worker is gone and no table file is written.
+    caller = threading.current_thread()
+    scored = nulls.mmd_sq_stack
+
+    def fails_on_worker(stack, kernel):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("worker half failed")
+        return scored(stack, kernel)
+
+    monkeypatch.setattr("singscan.nulls.mmd_sq_stack", fails_on_worker)
+    with pytest.raises(RuntimeError, match="worker half failed"):
+        NullCache(tmp_path, seed=0, n_ref=60, n_sims=200).get(2, KERN)
+    assert threading.active_count() == before
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("param", [0.5, 0.9])
