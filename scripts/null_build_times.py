@@ -3,8 +3,8 @@
 
 Each (d, kernel) table is built in memory by a fresh `NullCache(seed=0)`,
 as a cache miss builds it: the same derived seed, so the same table the CLI
-and the library use at the default n_ref = 500 and n_sims = 1000. Each table
-is built `--repeats` times in one process, and one JSON line per table gives
+and the library use at the default n_sims = 100,000 draws. Each table is
+built `--repeats` times in one process, and one JSON line per table gives
 the fastest build and every build's seconds. Nothing is read from or written
 to disk. Set OPENBLAS_NUM_THREADS as the run to compare with does
 (perfbench uses min(2, nproc)).
@@ -51,7 +51,7 @@ def main() -> int:
                 runs.append(round(time.perf_counter() - start, 4))
             print(json.dumps({
                 "d": d, "kind": kernel.kind, "param": kernel.param,
-                "n_ref": table.n_ref, "n_sims": table.n_sims,
+                "n_sims": table.n_sims,
                 "seconds": min(runs), "runs": runs,
             }), flush=True)
     return 0

@@ -2,9 +2,9 @@
 
 Each point's neighborhood is rescaled to the unit ball, PCA-projected to its
 estimated dimension, and scored against the uniform disk distribution with a
-closed-form kernel MMD; Monte-Carlo null tables turn scores into p-values,
-which are filtered into labels, judged by the dispersion score, and
-aggregated into global manifold-hypothesis tests.
+closed-form kernel MMD; null tables drawn from the kernel's spectrum turn
+scores into p-values, which are filtered into labels, judged by the
+dispersion score, and aggregated into global manifold-hypothesis tests.
 """
 
 from .evaluation import RocCurve, SuiteRow, roc_curve, run_synthetic_suite

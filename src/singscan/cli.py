@@ -302,8 +302,11 @@ def _add_common(sub: argparse.ArgumentParser, with_hyper: bool = True) -> None:
     sub.add_argument("--config", help="JSON config file; flags override its values")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--null-dir", dest="null_dir", default=None)
-    sub.add_argument("--null-sims", dest="null_sims", type=int, default=None)
-    sub.add_argument("--null-nref", dest="null_nref", type=int, default=None)
+    sub.add_argument("--null-sims", dest="null_sims", type=int, default=None,
+                     help="draws per null table (default 100000)")
+    sub.add_argument("--null-nref", dest="null_nref", type=int, default=None,
+                     help="accepted and checked (>= 50) but has no effect: tables are "
+                          "the large-n limit")
     sub.add_argument("--subsample", type=float, default=None,
                      help="fraction of points to score; the rest inherit nearest scores")
     if with_hyper:

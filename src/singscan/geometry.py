@@ -181,16 +181,12 @@ class NeighborIndex:
         inside[owner[near], cand[near]] = True
         return inside
 
-    def radius_members_batch(self, queries, r: float):
-        """Members j != q with ||x_j - x_q|| < r (strict) of every query point
-        q, in chunks: yields (chunk of queries, member counts, members
-        flattened in chunk order, each query's ascending).
-
-        The chunks hold every query once.  Brute-force chunks come in query
-        order.  KD-tree chunks come in ascending order of ball count (the
-        members plus the query itself, as the tree counts them before
-        chunking), with ties in query order, so that neighborhoods of one
-        size arrive together."""
+    def radius_chunks(self, queries, r: float) -> list[np.ndarray]:
+        """The chunks of ``radius_members_batch``, planned before any ball is
+        gathered: every query once, brute-force chunks in query order and
+        KD-tree chunks in ascending order of ball count (the members plus
+        the query itself, as the tree counts them), with ties in query
+        order, so that neighborhoods of one size arrive together."""
         queries = np.asarray(queries, dtype=np.intp)
         counted = None
         if not self._brute:
@@ -201,12 +197,24 @@ class NeighborIndex:
             )
             order = np.argsort(counted, kind="stable")
             queries, counted = queries[order], counted[order]
-        for chunk in self._chunks(queries, counted):
-            if self._brute:
-                owner, members = np.nonzero(self._brute_inside(chunk, r))
-            else:
-                owner, members = self._tree_ball(chunk, r)
-            yield chunk, np.bincount(owner, minlength=len(chunk)), members
+        return list(self._chunks(queries, counted))
+
+    def radius_chunk_members(self, chunk: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """Member counts of one chunk's queries, and their members j != q with
+        ||x_j - x_q|| < r (strict) flattened in chunk order, each query's
+        ascending."""
+        if self._brute:
+            owner, members = np.nonzero(self._brute_inside(chunk, r))
+        else:
+            owner, members = self._tree_ball(chunk, r)
+        return np.bincount(owner, minlength=len(chunk)), members
+
+    def radius_members_batch(self, queries, r: float):
+        """Members of every query point's ball, in the chunks of
+        ``radius_chunks``: yields (chunk of queries, member counts, members
+        flattened in chunk order) as ``radius_chunk_members`` gives them."""
+        for chunk in self.radius_chunks(queries, r):
+            yield chunk, *self.radius_chunk_members(chunk, r)
 
     def _nearest(self, centers: np.ndarray, want: int, k: int):
         """(c, want) indices and distances of the ``want`` nearest points of
@@ -226,39 +234,48 @@ class NeighborIndex:
         kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
         return idx, dist, (kth + 2 * slack) * (1 + 2 * self._tol)
 
-    def knn_members_batch(self, queries, k: int):
-        """k nearest neighbors of every query point, in chunks in query order:
-        yields (chunk, (c, k) members, (c, k) distances), each row sorted by
-        (distance, index) so equal distances resolve to the lower index.
+    def knn_chunks(self, queries, k: int) -> list[np.ndarray]:
+        """The chunks of ``knn_members_batch``, in query order, planned
+        before any neighbor is selected."""
+        if not 1 <= k <= self.n - 1:
+            raise ValueError("k must satisfy 1 <= k <= n - 1")
+        return list(self._chunks(np.asarray(queries, dtype=np.intp), min(k + 2, self.n)))
+
+    def knn_chunk_members(self, chunk: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(c, k) members and (c, k) distances of one chunk's queries, each
+        row sorted by (distance, index) so equal distances resolve to the
+        lower index.
 
         A query takes k + 2 points from ``_nearest``; if the farthest lies
         past the cut, all within the cut were taken, else it asks again for
         twice as many.  Those within are ranked by (``_pair_dist``, index).
         Each round's rows go in parts within the chunk budget at its ``want``."""
-        if not 1 <= k <= self.n - 1:
-            raise ValueError("k must satisfy 1 <= k <= n - 1")
-        queries = np.asarray(queries, dtype=np.intp)
-        initial = min(k + 2, self.n)
-        for chunk in self._chunks(queries, initial):
-            members = np.empty((len(chunk), k), dtype=np.intp)
-            dists = np.empty((len(chunk), k))
-            rows, want = np.arange(len(chunk)), initial
-            while rows.size:
-                again = []
-                for part in self._chunks(rows, want):
-                    idx, near, cut = self._nearest(chunk[part], want, k)
-                    done = (near[:, -1] > cut) | (want == self.n)
-                    at, idx, near, cut = part[done], idx[done], near[done], cut[done]
-                    centers = np.broadcast_to(chunk[at, None], idx.shape)
-                    inside = (near <= cut[:, None]) & (idx != centers)
-                    dist = np.full(idx.shape, np.inf)
-                    dist[inside] = self._pair_dist(centers[inside], idx[inside])
-                    first = np.lexsort((idx, dist), axis=1)[:, :k]
-                    members[at] = np.take_along_axis(idx, first, axis=1)
-                    dists[at] = np.take_along_axis(dist, first, axis=1)
-                    again.append(part[~done])
-                rows, want = np.concatenate(again), min(2 * want, self.n)
-            yield chunk, members, dists
+        members = np.empty((len(chunk), k), dtype=np.intp)
+        dists = np.empty((len(chunk), k))
+        rows, want = np.arange(len(chunk)), min(k + 2, self.n)
+        while rows.size:
+            again = []
+            for part in self._chunks(rows, want):
+                idx, near, cut = self._nearest(chunk[part], want, k)
+                done = (near[:, -1] > cut) | (want == self.n)
+                at, idx, near, cut = part[done], idx[done], near[done], cut[done]
+                centers = np.broadcast_to(chunk[at, None], idx.shape)
+                inside = (near <= cut[:, None]) & (idx != centers)
+                dist = np.full(idx.shape, np.inf)
+                dist[inside] = self._pair_dist(centers[inside], idx[inside])
+                first = np.lexsort((idx, dist), axis=1)[:, :k]
+                members[at] = np.take_along_axis(idx, first, axis=1)
+                dists[at] = np.take_along_axis(dist, first, axis=1)
+                again.append(part[~done])
+            rows, want = np.concatenate(again), min(2 * want, self.n)
+        return members, dists
+
+    def knn_members_batch(self, queries, k: int):
+        """k nearest neighbors of every query point, in the chunks of
+        ``knn_chunks``: yields (chunk, (c, k) members, (c, k) distances) as
+        ``knn_chunk_members`` gives them."""
+        for chunk in self.knn_chunks(queries, k):
+            yield chunk, *self.knn_chunk_members(chunk, k)
 
 
 def neighbors_radius(

@@ -190,9 +190,9 @@ def _power_sum_gram(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 def _compensated_sum(parts: list[np.ndarray]) -> np.ndarray:
     """Elementwise sum of the arrays, with the rounding error of each
     addition kept by Knuth's TwoSum and added back at the end, so the sum is
-    as if rounded about once: on null-table samples the closed-form Gram
-    comes within 1 ulp of the correctly rounded sum, against up to 4 ulp for
-    plain additions of its row blocks."""
+    as if rounded about once: on 500-point uniform-disk samples the
+    closed-form Gram comes within 1 ulp of the correctly rounded sum, against
+    up to 4 ulp for plain additions of its row blocks."""
     total, carry = parts[0], 0.0
     for part in parts[1:]:
         new = total + part
@@ -221,10 +221,10 @@ def _closed_form_gram(stack: np.ndarray, kernel: PowerSeriesKernel) -> np.ndarra
     gram = np.empty(m)
     for a in range(0, m, per_block):
         part = stack[a : a + per_block]
-        # This loop dominates the cost of scoring and of a d >= 2 null
-        # build.  A right operand with unit-stride rows keeps the stacked
-        # matmul on BLAS (a transposed view runs several times slower), and
-        # carrying the scale saves a pass over every block.
+        # This loop dominates the cost of scoring.  A right operand with
+        # unit-stride rows keeps the stacked matmul on BLAS (a transposed
+        # view runs several times slower), and carrying the scale saves a
+        # pass over every block.
         right = part.transpose(0, 2, 1).copy()
         right *= scale
         totals = []

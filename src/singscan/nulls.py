@@ -1,56 +1,71 @@
-"""Monte-Carlo null distributions of the scaled statistic n * MMD^2.
+"""Null distributions of the scaled statistic n * MMD^2, from the kernel's spectrum.
 
-A null table holds the sorted simulated values of n_ref * MMD^2 for samples
-drawn from the uniform d-disk, plus an exponential tail fitted to the top 5%
-so that p-values far outside the simulated range decay smoothly instead of
-saturating at 1 / n_sims.
+Under the null, n * MMD^2 of an n-sample from the uniform d-disk tends to
+sum_i lambda_i z_i^2 with z_i standard normal, where the lambda_i are the
+eigenvalues of the kernel centred under the uniform disk (Gretton et al.,
+"A Fast, Consistent Kernel Two-Sample Test", NeurIPS 2009).  For a
+power-series dot-product kernel the operator splits by spherical-harmonic
+degree into small matrices of kernel coefficients and radial moments
+(``null_spectrum``).  A null table holds sorted seeded draws of that limit,
+plus an exponential tail fitted to the top 5% so that p-values far outside
+the drawn range decay smoothly instead of saturating at 1 / n_sims.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.special import gammaln
 
-from .geometry import BLOCK_BYTES
 from .io import atomic_write_bytes
-from .kernels import EXP_DOT, GEOMETRIC, PowerSeriesKernel, mmd_sq_stack
+from .kernels import EXP_DOT, GEOMETRIC, PowerSeriesKernel
 
 TAIL_MASS = 0.05
 P_FLOOR = 1e-300
 
+# A table is the statistic's large-n limit, the same for every n.  n_ref is
+# still accepted by NullCache and checked on --null-nref, because the
+# benchmark passes it, and has no effect.
 DEFAULT_N_REF = 500
-DEFAULT_N_SIMS = 1000
+DEFAULT_N_SIMS = 100_000
 MIN_N_REF = 50
 MIN_N_SIMS = 200
 
+# A table's draws leave out the chi-square terms of least variance, as long
+# as their summed variance stays below this share of the total (a standard
+# deviation below 1e-6 of the statistic's); each left-out term adds its mean.
+_DROPPED_VARIANCE = 1e-12
+
 # The file header: the magic, then the table's identity (d, kind code,
-# param, order, n_ref, n_sims, seed).
-_MAGIC = b"SSNULL02"
-_HEADER = struct.Struct("<8sIIdIIIQ")
+# param, order, n_sims, seed).
+_MAGIC = b"SSNULL03"
+_HEADER = struct.Struct("<8sIIdIIQ")
 _KIND_CODES = {GEOMETRIC: 0, EXP_DOT: 1}
 
 
 @dataclass(frozen=True)
 class NullTable:
-    """Simulated null distribution of n_ref * MMD^2 for one disk dimension.
+    """Sorted draws of the null limit of n * MMD^2 for one disk dimension.
 
     The fields before ``stats`` are the table's identity, everything it
     depends on (``kind``, ``param`` and ``order`` as in the kernel's
-    fingerprint).  The exponential tail is fitted on construction: MLE to
-    the exceedances above the (1 - TAIL_MASS) quantile.
+    fingerprint).  ``stats`` holds n_sims draws of sum_i lambda_i z_i^2
+    over the kernel's centred spectrum on the uniform d-disk, sorted; they
+    stand for k * MMD^2 at every neighborhood size k.  The exponential tail
+    is fitted on construction: MLE to the exceedances above the
+    (1 - TAIL_MASS) quantile.
     """
 
     d: int
     kind: str
     param: float
     order: int
-    n_ref: int
     n_sims: int
     seed: int
     stats: np.ndarray
@@ -74,78 +89,103 @@ class NullTable:
 def sample_uniform_ball(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. draws from the uniform distribution on the unit d-ball.
 
-    Direction from normalized standard normals, radius U^(1/d).
+    Direction from normalized standard normals, radius U^(1/d): the (n, d)
+    normals are drawn first, then the n uniforms.
     """
     if d < 1 or n < 1:
         raise ValueError("d and n must be >= 1")
-    return _ball_samples(d, n, [rng])[0]
-
-
-def _ball_samples(d: int, n: int, rngs) -> np.ndarray:
-    """(len(rngs), n, d) stack of samples of ``sample_uniform_ball``, sample
-    i drawn from ``rngs[i]``: its (n, d) standard normals, then its n
-    uniforms.  The norms, radii and scaling are taken over the whole stack."""
-    normals = np.empty((len(rngs), n, d))
-    uniforms = np.empty((len(rngs), n))
-    for rng, g, u in zip(rngs, normals, uniforms):
-        rng.standard_normal(out=g)
-        rng.random(out=u)
-    norms = np.linalg.norm(normals, axis=2)
+    normals = rng.standard_normal((n, d))
+    norms = np.linalg.norm(normals, axis=1)
     norms[norms == 0.0] = 1.0
-    radii = uniforms ** (1.0 / d)
-    normals *= (radii / norms)[:, :, None]
+    radii = rng.random(n) ** (1.0 / d)
+    normals *= (radii / norms)[:, None]
     return normals
+
+
+def _harmonic_dimension(d: int, degree: int) -> int:
+    """Number of independent spherical harmonics of the degree on the
+    sphere of R^d; at d = 1, the two points {-1, 1}, one each of degree 0
+    and 1."""
+    if d == 1:
+        return 1
+    lower = math.comb(degree + d - 3, d - 1) if degree >= 2 else 0
+    return math.comb(degree + d - 1, d - 1) - lower
+
+
+def null_spectrum(kernel: PowerSeriesKernel, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the kernel, truncated at power 2 * order, centred under
+    the uniform d-disk, and the multiplicity of each.
+
+    With x = r u and y = s v, the power t^k of t = <u, v> expands in the
+    Gegenbauer polynomials P_l (P_l(1) = 1, l <= k of k's parity), and each
+    degree l contributes N(d, l) copies of the radial kernel
+    sum_k C_k r^k s^k with C_k = a_k E_t[t^k P_l(t)] over independent
+    uniform directions.  On the radial monomials its operator is C^(1/2) G
+    C^(1/2), with G_kk' = d / (d + k + k') the disk's radial moments.  The
+    mean embedding is radial, so centring replaces G by G - g g^T, with
+    g_k = d / (d + k), in degree 0 alone.  The multiplicity-weighted sum of
+    the eigenvalues is n * ``expected_mmd_sq``.  Rounding leaves some
+    eigenvalues just below zero, about 1e-20 or less in magnitude for the
+    workload kernels; they are returned as 0.
+    """
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    top = 2 * kernel.order
+    values, counts = [], []
+    for degree in range(min(top, 1) + 1 if d == 1 else top + 1):
+        k = np.arange(degree, top + 1, 2)
+        j = (k - degree) // 2
+        # E_t[t^k P_l(t)] = 2^-l k! / (k - l)! Gamma(j + 1/2) Gamma(d/2)
+        #                  / (sqrt(pi) Gamma(j + l + d/2)),  k = l + 2j.
+        log_moment = (
+            gammaln(k + 1.0) - gammaln(k - degree + 1.0) + gammaln(j + 0.5)
+            + gammaln(d / 2.0) - gammaln(j + degree + d / 2.0)
+            - degree * math.log(2.0) - 0.5 * math.log(math.pi)
+        )
+        root = np.sqrt(kernel.coefficients(k) * np.exp(log_moment))
+        gram = d / (d + k[:, None] + k[None, :])
+        if degree == 0:
+            mean = d / (d + k)
+            gram -= np.outer(mean, mean)
+        values.append(np.maximum(np.linalg.eigvalsh(root[:, None] * gram * root[None, :]), 0.0))
+        counts.append(np.full(k.size, float(_harmonic_dimension(d, degree))))
+    return np.concatenate(values), np.concatenate(counts)
 
 
 def build_null(
     d: int,
     kernel: PowerSeriesKernel,
-    n_ref: int,
     n_sims: int,
     rng: np.random.Generator,
     seed: int = 0,
 ) -> NullTable:
-    """Simulate n_sims independent values of n_ref * MMD^2 under the null.
+    """n_sims draws of sum lambda * chi^2_N over ``null_spectrum(kernel, d)``,
+    sorted.
 
-    Sample i is drawn from the i-th child spawned from ``rng``.  The samples
-    are split into two halves: this thread scores the first and one worker
-    thread the second, each in parts drawn as one array and scored by one
-    ``mmd_sq_stack`` call.  Two parts are alive at once, so each is planned
-    against BLOCK_BYTES / 2.  A value does not depend on its part or thread,
-    so the table is the same as on one thread.  At d = 1 a sample's Gram
-    comes from power sums when n_ref >= 4T; otherwise, and at every d >= 2,
-    from the closed form of its upper block-triangle in row blocks of about
-    CACHE_BYTES, which is most of the cost of a build and runs with the GIL
-    released.  The worker lives only for the call.
+    The terms are drawn from ``rng`` one at a time, in descending order of
+    variance 2 N lambda^2, each as n_sims chi-square values.  The terms of
+    least variance whose summed variance stays below _DROPPED_VARIANCE of
+    the total are not drawn; their mean sum N lambda is added instead.  A
+    table costs milliseconds and starts no thread.
     """
-    if n_ref < MIN_N_REF:
-        raise ValueError(f"n_ref must be >= {MIN_N_REF}")
     if n_sims < MIN_N_SIMS:
         raise ValueError(f"n_sims must be >= {MIN_N_SIMS}")
-    stats = np.empty(n_sims)
-    children = rng.spawn(n_sims)
-    # A part holds its normals and its uniforms: d + 1 floats per point.
-    per_part = max(1, BLOCK_BYTES // 2 // (8 * n_ref * (d + 1)))
-
-    def score(lo: int, hi: int) -> None:
-        for a in range(lo, hi, per_part):
-            b = min(a + per_part, hi)
-            stack = _ball_samples(d, n_ref, children[a:b])
-            stats[a:b] = n_ref * mmd_sq_stack(stack, kernel)
-
-    half = n_sims // 2
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        second = worker.submit(score, half, n_sims)
-        score(0, half)
-        second.result()
+    values, counts = null_spectrum(kernel, d)
+    variance = 2.0 * counts * values**2
+    order = np.argsort(variance, kind="stable")
+    left_out = np.cumsum(variance[order]) <= _DROPPED_VARIANCE * variance.sum()
+    dropped, kept = order[left_out], order[~left_out][::-1]
+    stats = np.full(n_sims, float(np.sum(counts[dropped] * values[dropped])))
+    for i in kept:
+        stats += values[i] * rng.chisquare(counts[i], n_sims)
     stats.sort()
-    return NullTable(d, *kernel.fingerprint(), n_ref, n_sims, seed, stats)
+    return NullTable(d, *kernel.fingerprint(), n_sims, seed, stats)
 
 
 def p_value(table: NullTable, k_obs, mmd_sq_obs):
     """Survival probability of the scaled statistic k_obs * mmd_sq_obs.
 
-    Inside the simulated range the smoothed empirical survival fraction is
+    Inside the drawn range the smoothed empirical survival fraction is
     used; beyond the tail anchor the fitted exponential takes over, floored
     at 1e-300 so downstream logs stay finite.  Scalars give a float; arrays
     (broadcast together) give an array of p-values.
@@ -167,7 +207,7 @@ def p_value(table: NullTable, k_obs, mmd_sq_obs):
 
 
 def _table_filename(identity: tuple) -> str:
-    return "null_d{}_{}{:.15g}_o{}_{}_{}_s{}.bin".format(*identity)
+    return "null_d{}_{}{:.15g}_o{}_{}_s{}.bin".format(*identity)
 
 
 def _header(identity: tuple) -> bytes:
@@ -177,10 +217,9 @@ def _header(identity: tuple) -> bytes:
 
 def _seed_entropy(identity: tuple) -> list[int]:
     """Entropy of a table's build: its identity with the parameter in
-    millionths and without ``order``, which keeps every table as earlier
-    versions built it."""
-    d, kind, param, _, n_ref, n_sims, seed = identity
-    return [seed, d, _KIND_CODES[kind], int(round(param * 1e6)), n_ref, n_sims]
+    millionths."""
+    d, kind, param, order, n_sims, seed = identity
+    return [seed, d, _KIND_CODES[kind], int(round(param * 1e6)), order, n_sims]
 
 
 def _write_table(path: Path, identity: tuple, stats: np.ndarray) -> None:
@@ -199,12 +238,13 @@ def _read_table(path: Path, identity: tuple) -> NullTable:
 class NullCache:
     """Lazily built, optionally disk-backed store of null tables.
 
-    A table is keyed by its identity: d, the kernel's fingerprint, n_ref,
-    n_sims and the configured seed.  The identity names the table's file,
-    fills its header and seeds its build, so the table for a given identity
-    is the same no matter in which order dimensions are encountered, and
+    A table is keyed by its identity: d, the kernel's fingerprint, n_sims
+    and the configured seed.  The identity names the table's file, fills
+    its header and seeds its build, so the table for a given identity is
+    the same no matter in which order dimensions are encountered, and
     caches of several seeds share a directory.  A file that fails to parse,
     or whose header is not its identity's, is rebuilt and overwritten.
+    ``n_ref`` is accepted and has no effect: a table is the large-n limit.
     """
 
     def __init__(
@@ -216,13 +256,12 @@ class NullCache:
     ):
         self.directory = Path(directory) if directory is not None else None
         self.seed = int(seed)
-        self.n_ref = int(n_ref)
         self.n_sims = int(n_sims)
         self._tables: dict[tuple, NullTable] = {}
         self._lock = threading.RLock()
 
     def get(self, d: int, kernel: PowerSeriesKernel) -> NullTable:
-        identity = (d, *kernel.fingerprint(), self.n_ref, self.n_sims, self.seed)
+        identity = (d, *kernel.fingerprint(), self.n_sims, self.seed)
         with self._lock:
             if identity not in self._tables:
                 self._tables[identity] = self._load(identity, kernel)
@@ -238,7 +277,7 @@ class NullCache:
             except ValueError as exc:
                 warnings.warn(f"rebuilding null table {path.name}: {exc}", stacklevel=3)
         rng = np.random.default_rng(np.random.SeedSequence(_seed_entropy(identity)))
-        table = build_null(identity[0], kernel, self.n_ref, self.n_sims, rng, seed=self.seed)
+        table = build_null(identity[0], kernel, self.n_sims, rng, seed=self.seed)
         if path is not None:
             _write_table(path, identity, table.stats)
         return table

@@ -127,14 +127,22 @@ def _query_points(n: int, subsample_fraction: float, seed: int) -> np.ndarray:
     return np.sort(rng.choice(n, size=m, replace=False))
 
 
-def _neighborhood_chunks(index: NeighborIndex, queries: np.ndarray, hood: Radius | Knn):
-    """Chunks of (queries, member counts, flattened members, rescaling radii)."""
+def _neighborhood_plan(index: NeighborIndex, queries: np.ndarray, hood: Radius | Knn):
+    """The chunks of queries that the neighborhoods are gathered in, planned
+    before any is gathered, and the function that gathers one chunk's
+    (member counts, flattened members, rescaling radii)."""
     if isinstance(hood, Radius):
-        for chunk, counts, members in index.radius_members_batch(queries, hood.r):
-            yield chunk, counts, members, np.full(len(chunk), float(hood.r))
-    else:
-        for chunk, members, dists in index.knn_members_batch(queries, hood.k):
-            yield chunk, np.full(len(chunk), hood.k), members.ravel(), dists[:, -1]
+        def gather(chunk):
+            counts, members = index.radius_chunk_members(chunk, hood.r)
+            return counts, members, np.full(len(chunk), float(hood.r))
+
+        return index.radius_chunks(queries, hood.r), gather
+
+    def gather(chunk):
+        members, dists = index.knn_chunk_members(chunk, hood.k)
+        return np.full(len(chunk), hood.k), members.ravel(), dists[:, -1]
+
+    return index.knn_chunks(queries, hood.k), gather
 
 
 def _mmd_columns(coords: np.ndarray, queries: np.ndarray, neighborhood: Radius | Knn, etas, kernels):
@@ -152,12 +160,15 @@ def _mmd_columns(coords: np.ndarray, queries: np.ndarray, neighborhood: Radius |
     dimension d is taken on its first d coordinates.  Neither depends on
     the other neighborhoods of the stack, so neither does the order.
 
-    A two-stage pipeline: this thread gathers and decomposes a chunk while
-    one worker thread computes the MMDs of the chunk before it.  The tree
-    queries and LAPACK release the GIL, and the worker makes no LAPACK call.
-    The chunks are scored in order, one at a time, so every output and
-    every failure is the same as on one thread.  The two live chunks share
-    one BLOCK_BYTES budget (``NeighborIndex._chunks``).
+    A call of several chunks is a two-stage pipeline: this thread gathers
+    and decomposes a chunk while one worker thread computes the MMDs of the
+    chunk before it.  The tree queries and LAPACK release the GIL, and the
+    worker makes no LAPACK call.  The chunks are scored in order, one at a
+    time, so every output and every failure is the same as on one thread.
+    The two live chunks share one BLOCK_BYTES budget
+    (``NeighborIndex._chunks``).  A call of one chunk, known from the plan
+    before any neighborhood is gathered, has nothing to overlap and is
+    scored on this thread, with no worker.
     """
     dim = coords.shape[1]
     m = len(queries)
@@ -167,7 +178,7 @@ def _mmd_columns(coords: np.ndarray, queries: np.ndarray, neighborhood: Radius |
     failed: dict[int, Exception] = {}
 
     def score(stacks):
-        # The worker's stage: every MMD of one chunk's decomposed stacks.
+        # The second stage: every MMD of one chunk's decomposed stacks.
         for where, dims, projected in stacks:
             for d in np.unique(dims):
                 rows = np.flatnonzero((dims == d).any(axis=0))
@@ -183,35 +194,44 @@ def _mmd_columns(coords: np.ndarray, queries: np.ndarray, neighborhood: Radius |
                         hit = dims[e, rows] == d
                         mmd[j, e, where[rows[hit]]] = values[hit]
 
-    index = NeighborIndex(coords)
+    def decompose(chunk):
+        # The first stage: gather a chunk, stack it by size, decompose.
+        counts, members, scales = gather(chunk)
+        # Queries are ascending, so this is each chunk query's position.
+        at = np.searchsorted(queries, chunk)
+        k_obs[at] = counts
+        starts = np.cumsum(counts) - counts
+        stacks = []
+        for k in np.unique(counts[counts >= MIN_NEIGHBORHOOD]):
+            group = np.flatnonzero(counts == k)
+            per_stack = max(1, BLOCK_BYTES // (8 * k * dim))
+            for a in range(0, len(group), per_stack):
+                sel = group[a : a + per_stack]
+                stack = coords[members[starts[sel, None] + np.arange(k)]]
+                stack -= coords[chunk[sel], None]
+                # A neighborhood whose members all sit on the center (a
+                # ball of copies, or a zero k-th neighbor distance)
+                # rescales to zeros, which have no spectrum to test: it
+                # stays NaN.
+                stack /= np.where(scales[sel] > 0, scales[sel], np.inf)[:, None, None]
+                spread = stack.any(axis=(1, 2))
+                if not spread.all():
+                    sel, stack = sel[spread], stack[spread]
+                    if not sel.size:
+                        continue
+                dims, projected = local_pca_stack(stack, etas)
+                d_hat[:, at[sel]] = dims
+                stacks.append((at[sel], dims, projected))
+        return stacks
+
+    plan, gather = _neighborhood_plan(NeighborIndex(coords), queries, neighborhood)
+    if len(plan) == 1:
+        score(decompose(plan[0]))
+        return k_obs, d_hat, mmd, failed
     scoring = None
     with ThreadPoolExecutor(max_workers=1) as worker:
-        for chunk, counts, members, scales in _neighborhood_chunks(index, queries, neighborhood):
-            # Queries are ascending, so this is each chunk query's position.
-            at = np.searchsorted(queries, chunk)
-            k_obs[at] = counts
-            starts = np.cumsum(counts) - counts
-            stacks = []
-            for k in np.unique(counts[counts >= MIN_NEIGHBORHOOD]):
-                group = np.flatnonzero(counts == k)
-                per_stack = max(1, BLOCK_BYTES // (8 * k * dim))
-                for a in range(0, len(group), per_stack):
-                    sel = group[a : a + per_stack]
-                    stack = coords[members[starts[sel, None] + np.arange(k)]]
-                    stack -= coords[chunk[sel], None]
-                    # A neighborhood whose members all sit on the center (a
-                    # ball of copies, or a zero k-th neighbor distance)
-                    # rescales to zeros, which have no spectrum to test: it
-                    # stays NaN.
-                    stack /= np.where(scales[sel] > 0, scales[sel], np.inf)[:, None, None]
-                    spread = stack.any(axis=(1, 2))
-                    if not spread.all():
-                        sel, stack = sel[spread], stack[spread]
-                        if not sel.size:
-                            continue
-                    dims, projected = local_pca_stack(stack, etas)
-                    d_hat[:, at[sel]] = dims
-                    stacks.append((at[sel], dims, projected))
+        for chunk in plan:
+            stacks = decompose(chunk)
             # The chunk before is scored, its failures recorded, before this
             # one is handed over: at most one chunk is in flight.
             if scoring is not None:

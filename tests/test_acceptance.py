@@ -34,6 +34,7 @@ from singscan import (
     singularity_scores,
     supc,
 )
+from singscan.nulls import DEFAULT_N_REF
 
 
 def _report(number, ok, detail):
@@ -128,8 +129,8 @@ def test_criterion_05_null_calibration(null_cache):
         [
             p_value(
                 table,
-                table.n_ref,
-                mmd_sq_vs_uniform_disk(sample_uniform_ball(2, table.n_ref, rng), kern),
+                DEFAULT_N_REF,
+                mmd_sq_vs_uniform_disk(sample_uniform_ball(2, DEFAULT_N_REF, rng), kern),
             )
             for _ in range(1000)
         ]

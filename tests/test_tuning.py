@@ -215,34 +215,34 @@ EXPANDED_REPORT = [
     (0.03, 0.8, 0.7, math.inf, 0),
     (0.03, 0.9, 0.5, math.inf, 0),
     (0.03, 0.9, 0.7, math.inf, 0),
-    (0.12, 0.8, 0.5, 1.6662612209877223, 54),
+    (0.12, 0.8, 0.5, 1.4422699114555968, 51),
     (0.12, 0.8, 0.7, 1.0565673003594485, 46),
     (0.12, 0.9, 0.5, 0.9570089716760386, 44),
     (0.12, 0.9, 0.7, 0.7858686706435423, 40),
-    (0.16499999999999998, 0.8, 0.5, 1.6345689582094147, 58),
-    (0.16499999999999998, 0.8, 0.7, 1.4818681269792857, 55),
-    (0.16499999999999998, 0.9, 0.5, 1.670145338103893, 59),
-    (0.16499999999999998, 0.9, 0.7, 1.480069973266201, 55),
+    (0.16499999999999998, 0.8, 0.5, 1.5744835712501835, 57),
+    (0.16499999999999998, 0.8, 0.7, 1.391723819972404, 53),
+    (0.16499999999999998, 0.9, 0.5, 1.573436007772545, 57),
+    (0.16499999999999998, 0.9, 0.7, 1.3548370315486344, 55),
     (0.21, 0.8, 0.5, 0.5388347731229345, 32),
-    (0.21, 0.8, 0.7, 0.5384235006475432, 32),
+    (0.21, 0.8, 0.7, 0.5706724418480837, 33),
     (0.21, 0.9, 0.5, 0.6384047266615007, 36),
-    (0.21, 0.9, 0.7, 0.6072062379543024, 35),
-    (0.255, 0.8, 0.5, 1.5848059685101117, 61),
-    (0.255, 0.8, 0.7, 1.4590935391877629, 58),
+    (0.21, 0.9, 0.7, 0.6379934541861093, 36),
+    (0.255, 0.8, 0.5, 1.5128995752407022, 59),
+    (0.255, 0.8, 0.7, 1.423820156233038, 57),
     (0.255, 0.9, 0.5, 1.8119360494142336, 65),
-    (0.255, 0.9, 0.7, 1.746379421229469, 64),
+    (0.255, 0.9, 0.7, 1.8119360494142336, 65),
     (0.3, 0.8, 0.5, 1.8915719385774117, 67),
-    (0.3, 0.8, 0.7, 1.8863877291677695, 67),
-    (0.3, 0.9, 0.5, 2.013343151497475, 69),
+    (0.3, 0.8, 0.7, 1.999262992629314, 69),
+    (0.3, 0.9, 0.5, 2.132037002464141, 71),
     (0.3, 0.9, 0.7, 2.075888400115743, 70),
-    (0.345, 0.8, 0.5, 4.436496684809053, 103),
+    (0.345, 0.8, 0.5, 4.430287288698611, 103),
     (0.345, 0.8, 0.7, 4.693757080718145, 106),
-    (0.345, 0.9, 0.5, 4.454148580476364, 103),
-    (0.345, 0.9, 0.7, 4.715048150820271, 106),
-    (0.39, 0.8, 0.5, 5.42038126961318, 114),
-    (0.39, 0.8, 0.7, 5.709525159612962, 117),
+    (0.345, 0.9, 0.5, 4.610154286856572, 105),
+    (0.345, 0.9, 0.7, 4.660099136272686, 105),
+    (0.39, 0.8, 0.5, 5.32578217676998, 113),
+    (0.39, 0.8, 0.7, 6.101844960811922, 121),
     (0.39, 0.9, 0.5, 5.320529051769981, 113),
-    (0.39, 0.9, 0.7, 5.226724728210311, 112),
+    (0.39, 0.9, 0.7, 5.320529051769981, 113),
 ]
 
 
@@ -261,7 +261,7 @@ def test_grid_search_expands_radii_past_the_grid(null_cache):
         rtol=1e-12, atol=0,
     )
     assert [row.warn_degenerate for row in out.report] == [row[4] == 0 for row in EXPANDED_REPORT]
-    assert (out.best_row.r, out.best_row.eta, out.best_row.alpha) == (0.21, 0.8, 0.7)
+    assert (out.best_row.r, out.best_row.eta, out.best_row.alpha) == (0.21, 0.8, 0.5)
 
 
 def test_grid_search_with_count_weighted_kde_equals_per_value_kde(null_cache, kde_oracle,

@@ -392,7 +392,9 @@ def _many_chunk_case(case):
 
 
 def _chunks(cloud, hood):
-    return list(uniformity._neighborhood_chunks(NeighborIndex(cloud), np.arange(len(cloud)), hood))
+    """Each chunk of the plan, with its (member counts, members, radii)."""
+    plan, gather = uniformity._neighborhood_plan(NeighborIndex(cloud), np.arange(len(cloud)), hood)
+    return [(chunk, *gather(chunk)) for chunk in plan]
 
 
 def _assert_same_columns(a, b):
@@ -446,6 +448,40 @@ def test_kernel_failing_in_a_later_chunk_fails_alone(null_cache, monkeypatch):
     _assert_same_columns(scores(0, 0), whole)
 
 
+@pytest.mark.parametrize("case", ["radius_kd", "knn_brute"])
+def test_one_chunk_call_starts_no_thread(case, null_cache, monkeypatch):
+    # A one-chunk call is scored on the calling thread; the same queries,
+    # planned as two chunks, go through the pipeline and give equal columns.
+    cloud, hood = _many_chunk_case(case)
+    etas = (0.7, 0.9)
+    kernels = (PowerSeriesKernel("geometric", 0.3), PowerSeriesKernel("expdot", 2.0))
+    assert len(_chunks(cloud, hood)) == 1
+    # SciPy's two-thread KD-tree count starts threads of its own; the
+    # scoring worker is an executor's.
+    started = []
+    real_start = threading.Thread.start
+
+    def recorded_start(self):
+        if self.name.startswith("ThreadPoolExecutor"):
+            started.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded_start)
+    inline = score_configurations(cloud, hood, etas, kernels, null_cache)
+    assert not started
+    real_plan = uniformity._neighborhood_plan
+
+    def split_in_two(*args):
+        (chunk,), gather = real_plan(*args)
+        return [chunk[: len(chunk) // 2], chunk[len(chunk) // 2 :]], gather
+
+    monkeypatch.setattr(uniformity, "_neighborhood_plan", split_in_two)
+    pipelined = score_configurations(cloud, hood, etas, kernels, null_cache)
+    assert len(started) == 1
+    for e, j in itertools.product(range(len(etas)), range(len(kernels))):
+        _assert_same_columns(inline(e, j), pipelined(e, j))
+
+
 def test_no_thread_outlives_a_scoring_call(null_cache, monkeypatch):
     cloud, hood = _many_chunk_case("radius_kd")
     params = Hyperparams(hood, 0.8, KERN)
@@ -457,16 +493,22 @@ def test_no_thread_outlives_a_scoring_call(null_cache, monkeypatch):
     class Injected(Exception):
         pass
 
-    real = uniformity._neighborhood_chunks
+    real = uniformity._neighborhood_plan
 
     def third_chunk_fails(*args):
         # Two chunks have been handed to the worker by then.
-        for i, chunk in enumerate(real(*args)):
-            if i == 2:
-                raise Injected
-            yield chunk
+        plan, gather = real(*args)
+        gathered = []
 
-    monkeypatch.setattr(uniformity, "_neighborhood_chunks", third_chunk_fails)
+        def failing(chunk):
+            gathered.append(chunk)
+            if len(gathered) == 3:
+                raise Injected
+            return gather(chunk)
+
+        return plan, failing
+
+    monkeypatch.setattr(uniformity, "_neighborhood_plan", third_chunk_fails)
     with pytest.raises(Injected):
         score_columns(cloud, params, null_cache)
     assert threading.active_count() == before
