@@ -79,13 +79,20 @@ _BALL_DIGESTS = {
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_stacked_draw_equals_sampler_child_by_child(d):
+    # synth draws its clouds through the sampler, so its stream must not move:
+    # a stack of one sample per spawned child equals the written-out draw.
+    stack = np.stack([sample_uniform_ball(d, 77, child)
+                      for child in np.random.default_rng(d).spawn(9)])
+    assert stack.shape == (9, 77, d)
+    for sample, twin in zip(stack, np.random.default_rng(d).spawn(9)):
+        assert np.array_equal(sample, _ball_reference(d, 77, twin))
+
+
+@pytest.mark.parametrize("d", sorted(_BALL_DIGESTS))
 def test_sampler_draws_as_before(d):
-    # synth draws its clouds through the sampler, so its stream must not move.
-    for child, twin in zip(np.random.default_rng(d).spawn(9), np.random.default_rng(d).spawn(9)):
-        assert np.array_equal(sample_uniform_ball(d, 77, child), _ball_reference(d, 77, twin))
-    if d in _BALL_DIGESTS:
-        drawn = sample_uniform_ball(d, 1000, np.random.default_rng(7))
-        assert hashlib.sha256(drawn.tobytes()).hexdigest() == _BALL_DIGESTS[d]
+    drawn = sample_uniform_ball(d, 1000, np.random.default_rng(7))
+    assert hashlib.sha256(drawn.tobytes()).hexdigest() == _BALL_DIGESTS[d]
 
 
 def test_build_leaves_no_thread_behind(monkeypatch):
