@@ -19,7 +19,6 @@ from .geometry import (
     neighbors_knn,
     neighbors_radius,
     project,
-    second_moment,
 )
 from .kernels import (
     EXP_DOT,
@@ -35,7 +34,6 @@ from .nulls import (
     NullTable,
     build_null,
     p_value,
-    sample_uniform_ball,
 )
 from .scoring import (
     DampingFunction,
@@ -56,6 +54,7 @@ from .synth import (
     generate,
     ground_truth_labels,
     mh_benchmark,
+    sample_uniform_ball,
     scaled_experiment_params,
 )
 from .tuning import (
@@ -64,7 +63,6 @@ from .tuning import (
     SearchGrid,
     default_grid,
     grid_search,
-    levina_bickel_dim,
     local_scale,
 )
 from .uniformity import (
@@ -121,7 +119,6 @@ __all__ = [
     "knee_detect",
     "knn_neighbor_sets",
     "ks_uniform",
-    "levina_bickel_dim",
     "local_pca",
     "local_scale",
     "log_inv_p",
@@ -140,7 +137,6 @@ __all__ = [
     "scaled_experiment_params",
     "score_columns",
     "score_configurations",
-    "second_moment",
     "separation",
     "singularity_scores",
     "supc",

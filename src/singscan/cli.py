@@ -212,6 +212,8 @@ def cmd_mh_test(args: argparse.Namespace) -> int:
             cloud, _hyperparams(cfg, len(cloud)), nulls,
             subsample_fraction=cfg.subsample, seed=cfg.seed,
         ).p_value
+    if not np.isfinite(p).any():
+        raise InputError("mh-test: no point was tested, so there is no p-value to aggregate")
     report = mh_report(p, _kernel(cfg), nulls)
     payload = {
         "supc": report.supc,

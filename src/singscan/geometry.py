@@ -117,13 +117,12 @@ class NeighborIndex:
 
     def radius_members(self, i: int, r: float) -> np.ndarray:
         """Indices j != i with ||x_j - x_i|| < r (strict), ascending."""
-        ((_, _, members),) = self.radius_members_batch([i], r)
-        return members
+        return self.radius_chunk_members(np.array([i], dtype=np.intp), r)[1]
 
     def knn_members(self, i: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         """k nearest neighbors of point i: (indices, distances), sorted by
         (distance, index) so equal distances resolve to the lower index."""
-        ((_, members, dists),) = self.knn_members_batch([i], k)
+        members, dists = self.knn_chunk_members(np.array([i], dtype=np.intp), k)
         return members[0], dists[0]
 
     def _chunks(self, queries: np.ndarray, members):
@@ -182,11 +181,11 @@ class NeighborIndex:
         return inside
 
     def radius_chunks(self, queries, r: float) -> list[np.ndarray]:
-        """The chunks of ``radius_members_batch``, planned before any ball is
-        gathered: every query once, brute-force chunks in query order and
-        KD-tree chunks in ascending order of ball count (the members plus
-        the query itself, as the tree counts them), with ties in query
-        order, so that neighborhoods of one size arrive together."""
+        """Chunks of ``queries`` for ``radius_chunk_members``, planned before
+        any ball is gathered: every query once, brute-force chunks in query
+        order and KD-tree chunks in ascending order of ball count (the
+        members plus the query itself, as the tree counts them), with ties
+        in query order, so that neighborhoods of one size arrive together."""
         queries = np.asarray(queries, dtype=np.intp)
         counted = None
         if not self._brute:
@@ -209,13 +208,6 @@ class NeighborIndex:
             owner, members = self._tree_ball(chunk, r)
         return np.bincount(owner, minlength=len(chunk)), members
 
-    def radius_members_batch(self, queries, r: float):
-        """Members of every query point's ball, in the chunks of
-        ``radius_chunks``: yields (chunk of queries, member counts, members
-        flattened in chunk order) as ``radius_chunk_members`` gives them."""
-        for chunk in self.radius_chunks(queries, r):
-            yield chunk, *self.radius_chunk_members(chunk, r)
-
     def _nearest(self, centers: np.ndarray, want: int, k: int):
         """(c, want) indices and distances of the ``want`` nearest points of
         each center by the backend's distance, the farthest last, and a cut
@@ -235,10 +227,8 @@ class NeighborIndex:
         return idx, dist, (kth + 2 * slack) * (1 + 2 * self._tol)
 
     def knn_chunks(self, queries, k: int) -> list[np.ndarray]:
-        """The chunks of ``knn_members_batch``, in query order, planned
-        before any neighbor is selected."""
-        if not 1 <= k <= self.n - 1:
-            raise ValueError("k must satisfy 1 <= k <= n - 1")
+        """Chunks of ``queries`` for ``knn_chunk_members``, in query order,
+        planned before any neighbor is selected."""
         return list(self._chunks(np.asarray(queries, dtype=np.intp), min(k + 2, self.n)))
 
     def knn_chunk_members(self, chunk: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -250,6 +240,8 @@ class NeighborIndex:
         past the cut, all within the cut were taken, else it asks again for
         twice as many.  Those within are ranked by (``_pair_dist``, index).
         Each round's rows go in parts within the chunk budget at its ``want``."""
+        if not 1 <= k <= self.n - 1:
+            raise ValueError("k must satisfy 1 <= k <= n - 1")
         members = np.empty((len(chunk), k), dtype=np.intp)
         dists = np.empty((len(chunk), k))
         rows, want = np.arange(len(chunk)), min(k + 2, self.n)
@@ -269,13 +261,6 @@ class NeighborIndex:
                 again.append(part[~done])
             rows, want = np.concatenate(again), min(2 * want, self.n)
         return members, dists
-
-    def knn_members_batch(self, queries, k: int):
-        """k nearest neighbors of every query point, in the chunks of
-        ``knn_chunks``: yields (chunk, (c, k) members, (c, k) distances) as
-        ``knn_chunk_members`` gives them."""
-        for chunk in self.knn_chunks(queries, k):
-            yield chunk, *self.knn_chunk_members(chunk, k)
 
 
 def neighbors_radius(
@@ -304,14 +289,6 @@ def neighbors_knn(
     diffs = coords[members] - coords[i]
     rescaled = diffs / scale if scale > 0 else np.zeros_like(diffs)
     return Neighborhood(i, members, rescaled, scale)
-
-
-def second_moment(points) -> np.ndarray:
-    """Uncentered second moment (1/k) * sum_j x_j x_j^T."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValueError("points must be a nonempty (k, D) array")
-    return pts.T @ pts / pts.shape[0]
 
 
 def estimate_dim(eigenvalues, eta: float):

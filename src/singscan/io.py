@@ -10,7 +10,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import dctn, idctn
+from scipy.fft import dctn
 
 from .scoring import log_inv_p
 
@@ -204,10 +204,3 @@ def dct_reduce(rows: np.ndarray, keep: int) -> np.ndarray:
         raise InputError(f"keep must be in [1, {side}]")
     coeffs = dctn(rows.reshape(-1, side, side), type=2, norm="ortho", axes=(1, 2))
     return coeffs[:, :keep, :keep].reshape(len(rows), keep * keep)
-
-
-def dct_restore(coeffs_rows: np.ndarray, side: int) -> np.ndarray:
-    """Inverse of dct_reduce when keep == side (full coefficient block)."""
-    coeffs_rows = np.atleast_2d(np.asarray(coeffs_rows, dtype=float))
-    images = idctn(coeffs_rows.reshape(-1, side, side), type=2, norm="ortho", axes=(1, 2))
-    return images.reshape(len(coeffs_rows), side * side)

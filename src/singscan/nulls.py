@@ -86,22 +86,6 @@ class NullTable:
         object.__setattr__(self, "tail_anchor", anchor)
 
 
-def sample_uniform_ball(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. draws from the uniform distribution on the unit d-ball.
-
-    Direction from normalized standard normals, radius U^(1/d): the (n, d)
-    normals are drawn first, then the n uniforms.
-    """
-    if d < 1 or n < 1:
-        raise ValueError("d and n must be >= 1")
-    normals = rng.standard_normal((n, d))
-    norms = np.linalg.norm(normals, axis=1)
-    norms[norms == 0.0] = 1.0
-    radii = rng.random(n) ** (1.0 / d)
-    normals *= (radii / norms)[:, None]
-    return normals
-
-
 def _harmonic_dimension(d: int, degree: int) -> int:
     """Number of independent spherical harmonics of the degree on the
     sphere of R^d; at d = 1, the two points {-1, 1}, one each of degree 0

@@ -169,8 +169,9 @@ def knn_neighbor_sets(points, k: int = DISPERSION_NEIGHBORS) -> np.ndarray:
     idx = np.empty((n, k), dtype=np.intp)
     idx[:, 0] = np.arange(n)
     if k > 1:
-        for chunk, members, _ in NeighborIndex(pts).knn_members_batch(np.arange(n), k - 1):
-            idx[chunk, 1:] = members
+        index = NeighborIndex(pts)
+        for chunk in index.knn_chunks(np.arange(n), k - 1):
+            idx[chunk, 1:] = index.knn_chunk_members(chunk, k - 1)[0]
     return idx
 
 

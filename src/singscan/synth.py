@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nulls import sample_uniform_ball
-
 CIRCLE = "circle"
 SPHERE = "sphere"
 TWO_CIRCLES = "two_circles"
@@ -67,6 +65,22 @@ class LabeledCloud:
 
     cloud: np.ndarray
     dist_to_singular: np.ndarray
+
+
+def sample_uniform_ball(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n i.i.d. draws from the uniform distribution on the unit d-ball.
+
+    Direction from normalized standard normals, radius U^(1/d): the (n, d)
+    normals are drawn first, then the n uniforms.
+    """
+    if d < 1 or n < 1:
+        raise ValueError("d and n must be >= 1")
+    normals = rng.standard_normal((n, d))
+    norms = np.linalg.norm(normals, axis=1)
+    norms[norms == 0.0] = 1.0
+    radii = rng.random(n) ** (1.0 / d)
+    normals *= (radii / norms)[:, None]
+    return normals
 
 
 def _unit_sphere(d: int, n: int, rng) -> np.ndarray:

@@ -90,23 +90,13 @@ class GridSearchResult:
     report: list[GridRow] = field(default_factory=list)
 
 
-def levina_bickel_dim(cloud, i: int, k: int, index: NeighborIndex | None = None) -> float:
-    """Maximum-likelihood intrinsic dimension at point i from the ratios of
-    its k nearest-neighbor distances (unbiased k-2 normalization).
+def _lb_from_distances(dists: np.ndarray) -> float:
+    """Levina-Bickel maximum-likelihood intrinsic dimension at a point from
+    its k ascending nearest-neighbor distances (unbiased k-2 normalization).
 
     Zero distances from duplicate points are skipped; if every distance is
     zero the estimate is undefined.
     """
-    if k < 3:
-        raise ValueError("k must be >= 3")
-    coords = index.coords if index is not None else as_point_cloud(cloud)
-    if index is None:
-        index = NeighborIndex(coords)
-    _, dists = index.knn_members(i, k)
-    return _lb_from_distances(dists)
-
-
-def _lb_from_distances(dists: np.ndarray) -> float:
     t_k = dists[-1]
     inner = dists[:-1]
     valid = inner > 0.0
@@ -155,7 +145,8 @@ def _local_scale_with_dim(
     ladder = _scale_ladder(n)
     index = NeighborIndex(coords)
 
-    dists = np.vstack([d for _, _, d in index.knn_members_batch(probes, ladder[-1])])
+    top = ladder[-1]
+    dists = np.vstack([index.knn_chunk_members(c, top)[1] for c in index.knn_chunks(probes, top)])
     curves = np.array([[_lb_from_distances(row[:k]) for k in ladder] for row in dists])
     kth_dist = dists[:, np.array(ladder) - 1]
     avg = curves.mean(axis=0)

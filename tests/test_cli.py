@@ -2,12 +2,14 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.fft import idctn
 
 from singscan.cli import main
-from singscan.io import InputError, dct_reduce, dct_restore, read_point_cloud_csv
+from singscan.io import InputError, dct_reduce, read_point_cloud_csv
 from singscan.synth import ShapeSpec, generate
 
 
@@ -142,6 +144,26 @@ def test_mh_test_small_sample_drops_upup(tmp_path):
     assert payload["n_used"] == 30
 
 
+# A radius far below the spacing of the 400 disk points leaves every ball
+# under 10 members, so no point is tested.
+_UNTESTED = ["--radius", "0.001", "--eta", "0.8", "--alpha", "0.5"]
+
+
+def test_mh_test_scores_with_no_tested_point_is_exit_2(tmp_path, disk_csv, capsys):
+    scores = tmp_path / "untested.csv"
+    argv = ["detect", "--input", str(disk_csv), "--output", str(scores), *_UNTESTED]
+    assert main([*argv, "--null-dir", str(tmp_path)]) == 0
+    assert all(row.split(",")[4] == "" for row in scores.read_text().split("\n")[1:-1])
+    assert main(["mh-test", "--scores", str(scores), "--null-dir", str(tmp_path)]) == 2
+    assert "no point was tested" in capsys.readouterr().err
+
+
+def test_mh_test_input_with_no_tested_point_is_exit_2(tmp_path, disk_csv, capsys):
+    argv = ["mh-test", "--input", str(disk_csv), *_UNTESTED, "--null-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert "no point was tested" in capsys.readouterr().err
+
+
 def test_synth_writes_cloud_and_distance_sidecar(tmp_path):
     out = tmp_path / "two.csv"
     code = main(["synth", "--shape", "two_spheres", "--dim", "1", "--n", "1000",
@@ -192,7 +214,8 @@ def test_ingest_dct_full_keep_invertible():
     side = 6
     imgs = rng.uniform(0, 1, size=(5, side * side))
     coeffs = dct_reduce(imgs, keep=side)
-    back = dct_restore(coeffs, side)
+    back = idctn(coeffs.reshape(-1, side, side), type=2, norm="ortho", axes=(1, 2))
+    back = back.reshape(len(imgs), side * side)
     assert back == pytest.approx(imgs, abs=1e-9)
 
 
@@ -269,6 +292,19 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "detect" in proc.stdout
+
+
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)
+def test_script_answers_help(script):
+    # Each script imports the library before parsing its arguments, so a
+    # library name that a script imports and that is gone fails here.
+    proc = subprocess.run([sys.executable, str(script), "--help"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage:" in proc.stdout
 
 
 def test_auto_all_degenerate_grid_is_internal_failure(tmp_path, disk_csv, null_cache, capsys):

