@@ -116,13 +116,16 @@ class NeighborIndex:
         return out
 
     def radius_members(self, i: int, r: float) -> np.ndarray:
-        """Indices j != i with ||x_j - x_i|| < r (strict), ascending."""
-        return self.radius_chunk_members(np.array([i], dtype=np.intp), r)[1]
+        """Indices j != i with ||x_j - x_i|| < r (strict), ascending.  A
+        negative i counts from the end, as in a sequence."""
+        return self.radius_chunk_members(np.array([range(self.n)[i]], dtype=np.intp), r)[1]
 
     def knn_members(self, i: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         """k nearest neighbors of point i: (indices, distances), sorted by
-        (distance, index) so equal distances resolve to the lower index."""
-        members, dists = self.knn_chunk_members(np.array([i], dtype=np.intp), k)
+        (distance, index) so equal distances resolve to the lower index.  A
+        negative i counts from the end, as in a sequence."""
+        chunk = np.array([range(self.n)[i]], dtype=np.intp)
+        members, dists = self.knn_chunk_members(chunk, k)
         return members[0], dists[0]
 
     def _chunks(self, queries: np.ndarray, members):

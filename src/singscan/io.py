@@ -7,15 +7,20 @@ import math
 import os
 import secrets
 import warnings
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
 from scipy.fft import dctn
 
+from .geometry import CACHE_BYTES
 from .scoring import log_inv_p
 
 SCORES_HEADER = ["index", "est_dim", "k_obs", "mmd", "p_value", "log_inv_p", "label"]
 GRID_REPORT_HEADER = ["r", "eta", "alpha", "dispersion", "n_singular", "warn_degenerate"]
+# Characters a ``%.17g`` value takes at most with its separator, such as
+# "-2.2250738585072014e-308,"; they size the pieces of text written at once.
+_VALUE_CHARS = 25
 
 
 class InputError(Exception):
@@ -85,17 +90,19 @@ def read_point_cloud_csv(path: str | Path) -> np.ndarray:
     return coords
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Replace ``path`` with ``data`` in one step: write a temporary file of a
-    name unique to this write in the same directory, then rename it over
-    ``path``.  Concurrent writers of one path never share a temporary file,
-    so each rename installs one writer's complete data."""
+def atomic_write_bytes(path: str | Path, pieces: Iterable[bytes]) -> None:
+    """Replace ``path`` with the concatenated ``pieces`` in one step: write
+    them in turn to a temporary file of a name unique to this write in the
+    same directory, then rename it over ``path``.  Concurrent writers of one
+    path never share a temporary file, so each rename installs one writer's
+    complete data; a piece that fails to come leaves ``path`` as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(8)}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(data)
+            for piece in pieces:
+                fh.write(piece)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -103,43 +110,68 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode())
+    atomic_write_bytes(path, [text.encode()])
+
+
+def _line_pieces(
+    header: list[str] | None, n_lines: int, line_chars: int, lines: Callable[[int, int], str]
+) -> Iterator[bytes]:
+    """Encoded text of a CSV file in pieces of about CACHE_BYTES: the header
+    line, if any, then ``lines(a, b)``, the text of lines a to b - 1 each
+    ended by a newline, over consecutive ranges of as many lines of at most
+    ``line_chars`` characters as fill CACHE_BYTES."""
+    if header is not None:
+        yield (",".join(header) + "\n").encode()
+    step = max(1, CACHE_BYTES // line_chars)
+    for a in range(0, n_lines, step):
+        yield lines(a, min(a + step, n_lines)).encode()
 
 
 def write_point_cloud_csv(path: str | Path, coords: np.ndarray) -> None:
     """One point per row, each value as ``%.17g`` (round-trips exactly)."""
     rows = np.atleast_2d(coords)
-    fmt = ",".join(["%.17g"] * rows.shape[1])
-    # Row by row, so only one row's Python floats are alive at a time.
-    atomic_write_text(path, "\n".join(fmt % tuple(row.tolist()) for row in rows) + "\n")
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    atomic_write_bytes(path, _line_pieces(
+        None, len(rows), _VALUE_CHARS * rows.shape[1],
+        lambda a, b: (line * (b - a)) % tuple(rows[a:b].ravel().tolist()),
+    ))
 
 
 def write_scores_csv(path: str | Path, scores, labels) -> None:
     """Per-point detect output of a ``Scores``: index, est_dim, k_obs, mmd,
     p_value, log_inv_p, label.  log_inv_p is ``scoring.log_inv_p``, the score
     the knee filter reads.  Missing score fields are left empty."""
-    lines = [",".join(SCORES_HEADER)]
-    columns = zip(
-        scores.k_obs.tolist(), scores.d_hat.tolist(), scores.mmd.tolist(),
-        scores.p_value.tolist(), log_inv_p(scores.p_value).tolist(), np.asarray(labels).tolist(),
+    columns = (
+        scores.k_obs, scores.d_hat, scores.mmd, scores.p_value,
+        log_inv_p(scores.p_value), np.asarray(labels),
     )
-    for i, (k, d, mmd, p, score, label) in enumerate(columns):
-        if math.isnan(p):
-            lines.append(f"{i},,{k},,,,{label}")
-        else:
-            lines.append(f"{i},{int(d)},{k},{mmd:.17g},{p:.17g},{score:.17g},{label}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+
+    def lines(a: int, b: int) -> str:
+        rows = zip(*(column[a:b].tolist() for column in columns))
+        return "".join(
+            f"{i},,{k},,,,{label}\n" if math.isnan(p)
+            else f"{i},{int(d)},{k},{mmd:.17g},{p:.17g},{score:.17g},{label}\n"
+            for i, (k, d, mmd, p, score, label) in enumerate(rows, start=a)
+        )
+
+    atomic_write_bytes(path, _line_pieces(
+        SCORES_HEADER, min(map(len, columns)), 4 * _VALUE_CHARS, lines
+    ))
 
 
 def write_grid_report(path: str | Path, rows) -> None:
     """``auto``'s grid report, a line per ``GridRow`` in the order given;
     floats as ``repr``, which round-trips, and warn_degenerate as 0 or 1."""
-    lines = [",".join(GRID_REPORT_HEADER)] + [
-        f"{row.r!r},{row.eta!r},{row.alpha!r},"
-        f"{row.dispersion!r},{row.n_singular},{int(row.warn_degenerate)}"
-        for row in rows
-    ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = list(rows)
+
+    def lines(a: int, b: int) -> str:
+        return "".join(
+            f"{row.r!r},{row.eta!r},{row.alpha!r},"
+            f"{row.dispersion!r},{row.n_singular},{int(row.warn_degenerate)}\n"
+            for row in rows[a:b]
+        )
+
+    atomic_write_bytes(path, _line_pieces(GRID_REPORT_HEADER, len(rows), 5 * _VALUE_CHARS, lines))
 
 
 def read_scores_csv(path: str | Path) -> dict[str, np.ndarray]:
@@ -193,7 +225,8 @@ def read_label_column(path: str | Path) -> np.ndarray:
 
 def dct_reduce(rows: np.ndarray, keep: int) -> np.ndarray:
     """Reduce flattened square grayscale images to their top-left keep x keep
-    block of orthonormal type-II DCT coefficients (row-major)."""
+    block of orthonormal type-II DCT coefficients (row-major).  Each image is
+    transformed alone, so the images go in blocks of about CACHE_BYTES."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     side = int(round(math.sqrt(rows.shape[1])))
     if side * side != rows.shape[1]:
@@ -202,5 +235,10 @@ def dct_reduce(rows: np.ndarray, keep: int) -> np.ndarray:
         )
     if keep < 1 or keep > side:
         raise InputError(f"keep must be in [1, {side}]")
-    coeffs = dctn(rows.reshape(-1, side, side), type=2, norm="ortho", axes=(1, 2))
-    return coeffs[:, :keep, :keep].reshape(len(rows), keep * keep)
+    images = rows.reshape(-1, side, side)
+    out = np.empty((len(rows), keep * keep))
+    step = max(1, CACHE_BYTES // (8 * side * side))
+    for a in range(0, len(rows), step):
+        coeffs = dctn(images[a : a + step], type=2, norm="ortho", axes=(1, 2))
+        out[a : a + step] = coeffs[:, :keep, :keep].reshape(-1, keep * keep)
+    return out

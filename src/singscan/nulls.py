@@ -207,7 +207,7 @@ def _seed_entropy(identity: tuple) -> list[int]:
 
 
 def _write_table(path: Path, identity: tuple, stats: np.ndarray) -> None:
-    atomic_write_bytes(path, _header(identity) + stats.astype("<f8").tobytes())
+    atomic_write_bytes(path, [_header(identity), stats.astype("<f8").tobytes()])
 
 
 def _read_table(path: Path, identity: tuple) -> NullTable:

@@ -12,12 +12,12 @@ neighborhoods; lower is better and hyperparameters are ranked by it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
-from .geometry import BLOCK_BYTES, NeighborIndex, as_point_cloud
+from .geometry import BLOCK_BYTES, CACHE_BYTES, NeighborIndex, as_point_cloud
 
 KDE_GRID_SIZE = 512
 KNEE_SENSITIVITY = 1.0
@@ -83,7 +83,7 @@ def kde_density(values) -> tuple[np.ndarray, np.ndarray]:
 
     The bandwidth and grid come from all n finite values; the sum runs over
     the distinct values, each Gaussian weighted by its count, in blocks of
-    about BLOCK_BYTES.
+    about CACHE_BYTES.
     """
     v = np.asarray(values, dtype=float)
     v = v[np.isfinite(v)]
@@ -97,14 +97,17 @@ def kde_density(values) -> tuple[np.ndarray, np.ndarray]:
     points, counts = np.unique(v, return_counts=True)
     counts = counts.astype(float)
     density = np.zeros(KDE_GRID_SIZE)
-    per_block = max(1, BLOCK_BYTES // (8 * KDE_GRID_SIZE))
+    per_block = max(1, CACHE_BYTES // (8 * KDE_GRID_SIZE))
+    # A row per value, so that every block is a prefix of one buffer.
+    buffer = np.empty((min(per_block, points.size), KDE_GRID_SIZE))
     for start in range(0, points.size, per_block):
-        block = np.subtract.outer(grid, points[start : start + per_block])
+        chunk = points[start : start + per_block]
+        block = np.subtract(chunk[:, None], grid, out=buffer[: chunk.size])
         block /= bw
         block *= block
         block *= -0.5
         np.exp(block, out=block)
-        density += block @ counts[start : start + per_block]
+        density += counts[start : start + per_block] @ block
     density /= v.size * bw * np.sqrt(2.0 * np.pi)
     return grid, density
 
@@ -186,14 +189,25 @@ def purity(labels, neighbor_sets) -> np.ndarray:
 
 
 def roc_auc(scores, labels) -> float:
-    """Mann-Whitney AUC: P(score_1 > score_0) + 0.5 * P(tie) over class pairs."""
+    """Mann-Whitney AUC: P(score_1 > score_0) + 0.5 * P(tie) over class pairs;
+    NaN if a score is NaN.
+
+    A run of tied scores at sorted positions [a, b) shares the average rank
+    (a + 1 + b) / 2, a whole or half number, so the rank sum is exact."""
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels)
     n1 = int(np.sum(y == 1))
     n0 = int(np.sum(y == 0))
     if n1 == 0 or n0 == 0:
         raise ValueError("AUC undefined: both classes must be present")
-    ranks = rankdata(s)
+    if np.isnan(s).any():
+        return math.nan
+    order = np.argsort(s, kind="stable")
+    ordered = s[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], s.size]
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
     return float((ranks[y == 1].sum() - n1 * (n1 + 1) / 2.0) / (n0 * n1))
 
 

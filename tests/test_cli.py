@@ -294,6 +294,15 @@ def test_console_entry_point_runs():
     assert "detect" in proc.stdout
 
 
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats would add about half a second and 30 MB to every CLI start.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, singscan.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
+
+
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
 

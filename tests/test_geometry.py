@@ -192,6 +192,27 @@ def test_single_queries_equal_their_planned_chunks(case, monkeypatch):
             index.knn_chunk_members(np.arange(3), k)
 
 
+@pytest.mark.parametrize("case", ["kdtree", "brute"])
+def test_single_queries_read_negative_indices_from_the_end(case):
+    cloud = _SINGLE_QUERY_CLOUDS[case]
+    n = len(cloud)
+    index = NeighborIndex(cloud)
+    r = float(np.quantile(np.linalg.norm(cloud[:, None] - cloud[None], axis=2), 0.1))
+    for i in (0, 1, n - 1):
+        ball = index.radius_members(i - n, r)
+        assert ball.size and i not in ball
+        assert np.array_equal(ball, index.radius_members(i, r))
+        members, dists = index.knn_members(i - n, 3)
+        assert i not in members
+        assert np.array_equal(members, index.knn_members(i, 3)[0])
+        assert np.array_equal(dists, index.knn_members(i, 3)[1])
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            index.radius_members(i, r)
+        with pytest.raises(IndexError):
+            index.knn_members(i, 3)
+
+
 def test_local_pca_moment_examples():
     pca = local_pca(np.array([[1.0, 0.0], [-1.0, 0.0]]), 0.9)
     assert pca.eigenvalues == pytest.approx([1.0, 0.0])

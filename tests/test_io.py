@@ -1,14 +1,23 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.fft import dctn
 
+from singscan import io
 from singscan.io import (
     InputError,
+    atomic_write_bytes,
+    dct_reduce,
     read_point_cloud_csv,
     read_scores_csv,
+    write_grid_report,
     write_point_cloud_csv,
     write_scores_csv,
 )
 from singscan.scoring import log_inv_p
+from singscan.tuning import GridRow
 from singscan.uniformity import Scores
 
 
@@ -101,3 +110,96 @@ def test_scores_csv_log_inv_p_is_the_filters_score(tmp_path):
     written = read_scores_csv(tmp_path / "scores.csv")
     assert np.array_equal(written["p_value"], p, equal_nan=True)
     assert np.array_equal(written["log_inv_p"], log_inv_p(p), equal_nan=True)
+
+
+def _record_pieces(monkeypatch) -> list[bytes]:
+    """The pieces each later write hands to the atomic writer, in order."""
+    pieces: list[bytes] = []
+    write = io.atomic_write_bytes
+    monkeypatch.setattr(io, "atomic_write_bytes",
+                        lambda path, it: write(path, (pieces.append(p) or p for p in it)))
+    return pieces
+
+
+@pytest.mark.parametrize("n, dim", [(1, 4), (13, 1), (40, 1), (20, 2), (21, 2)])
+def test_streamed_writers_equal_one_shot_text(tmp_path, monkeypatch, n, dim):
+    # 500-byte pieces hold 20 values, 5 score lines or 4 report lines: the
+    # sizes land one row, one column, exactly on a piece boundary and just past one.
+    monkeypatch.setattr("singscan.io.CACHE_BYTES", 500)
+    pieces = _record_pieces(monkeypatch)
+    rng = np.random.default_rng(n * dim)
+    coords = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-300, 300, (n, dim))
+    write_point_cloud_csv(tmp_path / "cloud.csv", coords)
+    want = "\n".join(",".join("%.17g" % v for v in row) for row in coords.tolist()) + "\n"
+    assert (tmp_path / "cloud.csv").read_bytes() == want.encode()
+    assert len(pieces) == math.ceil(n / (20 // dim))
+
+    p = rng.random(n)
+    p[::3] = np.nan
+    scores = Scores(rng.integers(0, 500, n), np.where(np.isnan(p), np.nan, 2.0), rng.random(n), p)
+    labels = rng.integers(0, 2, n)
+    lines = [",".join(io.SCORES_HEADER)]
+    for i, (k, d, mmd, pv, score, label) in enumerate(zip(
+        scores.k_obs.tolist(), scores.d_hat.tolist(), scores.mmd.tolist(), p.tolist(),
+        log_inv_p(p).tolist(), labels.tolist(),
+    )):
+        lines.append(f"{i},,{k},,,,{label}" if math.isnan(pv)
+                     else f"{i},{int(d)},{k},{mmd:.17g},{pv:.17g},{score:.17g},{label}")
+    pieces.clear()
+    write_scores_csv(tmp_path / "scores.csv", scores, labels)
+    assert (tmp_path / "scores.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert len(pieces) == 1 + math.ceil(n / 5)
+
+    rows = [GridRow(*rng.random(4).tolist(), int(rng.integers(0, n + 1)), bool(i % 2))
+            for i in range(n)]
+    lines = [",".join(io.GRID_REPORT_HEADER)] + [
+        f"{row.r!r},{row.eta!r},{row.alpha!r},{row.dispersion!r},{row.n_singular},"
+        f"{int(row.warn_degenerate)}" for row in rows
+    ]
+    pieces.clear()
+    write_grid_report(tmp_path / "grid.csv", rows)
+    assert (tmp_path / "grid.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert len(pieces) == 1 + math.ceil(n / 4)
+
+
+def test_atomic_write_keeps_the_target_when_a_piece_fails(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old\n")
+
+    def pieces():
+        yield b"new,"
+        raise RuntimeError("no more pieces")
+
+    with pytest.raises(RuntimeError, match="no more pieces"):
+        atomic_write_bytes(path, pieces())
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+@pytest.mark.parametrize("keep", [3, 16])
+def test_dct_reduce_equals_one_transform_of_all_images(keep):
+    # 16 x 16 images go 512 to a block, so 1,300 of them take three blocks.
+    images = np.random.default_rng(keep).random((1300, 256))
+    whole = dctn(images.reshape(-1, 16, 16), type=2, norm="ortho", axes=(1, 2))
+    want = whole[:, :keep, :keep].reshape(len(images), keep * keep)
+    assert np.array_equal(dct_reduce(images, keep), want)
+
+
+def _traced_peak(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_writing_and_dct_hold_a_few_blocks(tmp_path):
+    # The image benchmark's sizes: 6,060 images of 16 x 16, reduced to 100
+    # coefficients, of which the DCT's output alone is 4.8 MB.
+    rng = np.random.default_rng(0)
+    images = rng.random((6060, 256))
+    assert _traced_peak(lambda: dct_reduce(images, 10)) < 10 * 2**20
+    coeffs = rng.standard_normal((6060, 100))
+    assert _traced_peak(lambda: write_point_cloud_csv(tmp_path / "dct.csv", coeffs)) < 10 * 2**20
+    assert np.array_equal(read_point_cloud_csv(tmp_path / "dct.csv"), coeffs)

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from singscan import (
     DampingFunction,
@@ -82,6 +84,18 @@ def test_kde_matches_per_value_oracle(kde_oracle, kind):
     grid_o, dens_o = kde_oracle(values)
     assert np.array_equal(grid, grid_o)
     assert np.max(np.abs(dens - dens_o)) <= 1e-13 * dens_o.max()
+
+
+def test_kde_holds_a_few_blocks():
+    # 22,500 distinct scores, as on the detect benchmark.
+    values = np.random.default_rng(4).standard_normal(22_500)
+    tracemalloc.start()
+    try:
+        kde_density(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_kde_is_bit_identical_under_permutation():
@@ -202,6 +216,19 @@ def test_roc_auc_examples():
     assert roc_auc(scores, labels) == pytest.approx(0.5, abs=0.02)
     with pytest.raises(ValueError, match="AUC undefined"):
         roc_auc([1.0, 2.0], [1, 1])
+
+
+def test_roc_auc_equals_the_rankdata_formula_on_ties():
+    rng = np.random.default_rng(3)
+    for n, levels in ((2, 1), (60, 3), (5000, 7), (20000, 400)):
+        scores = rng.integers(0, levels, n) / 7.0
+        labels = np.arange(n) % 2
+        rng.shuffle(labels)
+        n1, n0 = int(labels.sum()), int(n - labels.sum())
+        ranks = rankdata(scores)
+        want = float((ranks[labels == 1].sum() - n1 * (n1 + 1) / 2.0) / (n0 * n1))
+        assert roc_auc(scores, labels) == want
+    assert math.isnan(roc_auc([0.1, np.nan, 0.3], [0, 1, 1]))
 
 
 @given(st.integers(0, 2**32 - 1))
