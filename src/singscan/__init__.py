@@ -36,8 +36,6 @@ from .nulls import (
     p_value,
 )
 from .scoring import (
-    DampingFunction,
-    DispersionReport,
     dispersion,
     filter_labels,
     kde_density,
@@ -83,8 +81,6 @@ __all__ = [
     "EXP_DOT",
     "GEOMETRIC",
     "MIN_NEIGHBORHOOD",
-    "DampingFunction",
-    "DispersionReport",
     "GridRow",
     "GridSearchResult",
     "Hyperparams",

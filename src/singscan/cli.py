@@ -32,7 +32,7 @@ from .kernels import PowerSeriesKernel
 from .mh import mh_report
 from .nulls import DEFAULT_N_REF, DEFAULT_N_SIMS, MIN_N_REF, MIN_N_SIMS, NullCache
 from .scoring import filter_labels
-from .synth import ShapeSpec, generate
+from .synth import FIXED_DIM_SHAPES, ShapeSpec, generate
 from .tuning import (
     MIN_LOCAL_SCALE_POINTS, SearchGrid, _local_scale_with_dim, default_grid, grid_search,
 )
@@ -82,8 +82,15 @@ def _check_file_value(field: dataclasses.Field, value) -> None:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    """File values fill in wherever the corresponding flag was not given."""
+    """File values fill in wherever the corresponding flag was not given.
+
+    A file key must name a RunConfig field; "threads", the key of a retired
+    flag, is still accepted and ignored."""
     file_values = _load_config_file(getattr(args, "config", None))
+    known = {field.name for field in dataclasses.fields(RunConfig)} | {"threads"}
+    unknown = sorted(set(file_values) - known)
+    if unknown:
+        raise InputError(f"config file: unknown key(s) {', '.join(map(repr, unknown))}")
     cfg = RunConfig()
     for field in dataclasses.fields(RunConfig):
         flag = getattr(args, field.name, None)
@@ -237,9 +244,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise InputError("synth needs --output")
     if args.seed < 0:
         raise InputError("--seed must be >= 0")
+    if args.dim is not None and args.shape in FIXED_DIM_SHAPES:
+        raise InputError(f"synth --shape {args.shape} has a fixed dimension and takes no --dim")
     try:
         spec = ShapeSpec(
-            shape=args.shape, n=args.n, dim=args.dim,
+            shape=args.shape, n=args.n, dim=2 if args.dim is None else args.dim,
             noise_amplitude=args.noise, seed=args.seed,
         )
     except ValueError as exc:
@@ -341,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("synth", help="generate a synthetic labeled cloud")
     p.add_argument("--shape", required=True)
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=int, default=None,
+                   help="intrinsic dimension (default 2), for shapes without a fixed one")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--noise", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=0)

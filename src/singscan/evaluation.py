@@ -43,7 +43,6 @@ SUITE_KERNEL = PowerSeriesKernel("expdot", 2.0)
 class RocCurve:
     """Threshold sweep of (fpr, tpr) from (0, 0) to (1, 1) with its AUC."""
 
-    thresholds: np.ndarray
     fpr: np.ndarray
     tpr: np.ndarray
     auc: float
@@ -80,11 +79,10 @@ def roc_curve(scores, labels) -> RocCurve:
     last = np.append(boundary, len(s_sorted) - 1)
     tp = np.cumsum(y_sorted == 1)[last]
     fp = np.cumsum(y_sorted == 0)[last]
-    thresholds = s_sorted[last]
     tpr = np.concatenate(([0.0], tp / n1))
     fpr = np.concatenate(([0.0], fp / n0))
     auc = float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
-    return RocCurve(thresholds, fpr, tpr, auc, n_excluded)
+    return RocCurve(fpr, tpr, auc, n_excluded)
 
 
 def run_synthetic_suite(

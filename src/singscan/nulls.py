@@ -136,24 +136,22 @@ def null_spectrum(kernel: PowerSeriesKernel, d: int) -> tuple[np.ndarray, np.nda
     return np.concatenate(values), np.concatenate(counts)
 
 
-def build_null(
-    d: int,
-    kernel: PowerSeriesKernel,
-    n_sims: int,
-    rng: np.random.Generator,
-    seed: int = 0,
-) -> NullTable:
+def build_null(d: int, kernel: PowerSeriesKernel, n_sims: int, seed: int = 0) -> NullTable:
     """n_sims draws of sum lambda * chi^2_N over ``null_spectrum(kernel, d)``,
     sorted.
 
-    The terms are drawn from ``rng`` one at a time, in descending order of
-    variance 2 N lambda^2, each as n_sims chi-square values.  The terms of
-    least variance whose summed variance stays below _DROPPED_VARIANCE of
-    the total are not drawn; their mean sum N lambda is added instead.  A
-    table costs milliseconds and starts no thread.
+    The random stream is seeded by the table's identity, so the table is
+    bit for bit the one a ``NullCache`` of that seed holds.  The terms are
+    drawn one at a time, in descending order of variance 2 N lambda^2, each
+    as n_sims chi-square values.  The terms of least variance whose summed
+    variance stays below _DROPPED_VARIANCE of the total are not drawn; their
+    mean sum N lambda is added instead.  A table costs milliseconds and
+    starts no thread.
     """
     if n_sims < MIN_N_SIMS:
         raise ValueError(f"n_sims must be >= {MIN_N_SIMS}")
+    identity = (d, *kernel.fingerprint(), n_sims, seed)
+    rng = np.random.default_rng(np.random.SeedSequence(_seed_entropy(identity)))
     values, counts = null_spectrum(kernel, d)
     variance = 2.0 * counts * values**2
     order = np.argsort(variance, kind="stable")
@@ -163,7 +161,7 @@ def build_null(
     for i in kept:
         stats += values[i] * rng.chisquare(counts[i], n_sims)
     stats.sort()
-    return NullTable(d, *kernel.fingerprint(), n_sims, seed, stats)
+    return NullTable(*identity, stats)
 
 
 def p_value(table: NullTable, k_obs, mmd_sq_obs):
@@ -260,8 +258,7 @@ class NullCache:
                 return _read_table(path, identity)
             except ValueError as exc:
                 warnings.warn(f"rebuilding null table {path.name}: {exc}", stacklevel=3)
-        rng = np.random.default_rng(np.random.SeedSequence(_seed_entropy(identity)))
-        table = build_null(identity[0], kernel, self.n_sims, rng, seed=self.seed)
+        table = build_null(identity[0], kernel, self.n_sims, self.seed)
         if path is not None:
             _write_table(path, identity, table.stats)
         return table

@@ -12,8 +12,8 @@ neighborhoods; lower is better and hyperparameters are ranked by it.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,45 +24,18 @@ KNEE_SENSITIVITY = 1.0
 DISPERSION_NEIGHBORS = 20
 
 
-@dataclass(frozen=True)
-class DampingFunction:
+def _ramp(t, a: float, b: float):
     """Clamped power ramp F(t) = (max(0, (t - a) / (1 - a)))^b on [0, 1].
 
     Nondecreasing with F(1) = 1 and F(t) <= t for b >= 1, so it suppresses
     small contributions without ever amplifying one.
     """
-
-    a: float = 0.0
-    b: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.a < 1.0:
-            raise ValueError("a must be in [0, 1)")
-        if self.b < 1.0:
-            raise ValueError("b must be >= 1")
-
-    def __call__(self, t):
-        base = np.maximum(0.0, (np.asarray(t, dtype=float) - self.a) / (1.0 - self.a))
-        out = base**self.b
-        return float(out) if np.ndim(t) == 0 else out
+    out = np.maximum(0.0, (np.asarray(t, dtype=float) - a) / (1.0 - a)) ** b
+    return float(out) if np.ndim(t) == 0 else out
 
 
-DAMP_GLOBAL = DampingFunction(0.0, 2.0)
-DAMP_LOCAL = DampingFunction(0.5, 5.0)
-
-
-@dataclass
-class DispersionReport:
-    """Labeling quality: global purity, per-singular-point scores, and the
-    damped aggregate (lower is better)."""
-
-    labels: np.ndarray
-    global_purity: float
-    singular_indices: np.ndarray
-    purity_scores: np.ndarray
-    separation_scores: np.ndarray
-    q_scores: np.ndarray
-    dispersion: float
+DAMP_GLOBAL = functools.partial(_ramp, a=0.0, b=2.0)
+DAMP_LOCAL = functools.partial(_ramp, a=0.5, b=5.0)
 
 
 def log_inv_p(p_values) -> np.ndarray:
@@ -252,26 +225,19 @@ def separation(points, labels, neighbor_sets) -> np.ndarray:
     return out
 
 
-def dispersion(points, labels, neighbor_sets, alpha_reg: float) -> DispersionReport:
-    """Damped aggregate of global purity and per-singular-point quality.
+def dispersion(points, labels, neighbor_sets, alpha_reg: float) -> float:
+    """Damped aggregate of global purity and per-singular-point quality
+    (lower is better).
 
     dispersion = alpha_reg * D1(P) + sum over label-1 points of D2(q_i) with
-    D1 = DAMP_GLOBAL, D2 = DAMP_LOCAL and q_i = 1 - (s_i + p_i) / 2; an empty
+    D1 = DAMP_GLOBAL, D2 = DAMP_LOCAL, P the share of label-1 points and
+    q_i = 1 - (s_i + p_i) / 2 from ``separation`` and ``purity``; an empty
     singular set scores exactly 0.
     """
     y = np.asarray(labels)
-    n = y.shape[0]
     ones = np.flatnonzero(y == 1)
-    global_purity = ones.size / n
+    damped_global = alpha_reg * DAMP_GLOBAL(ones.size / y.shape[0])
     if ones.size == 0:
-        empty = np.empty(0)
-        return DispersionReport(
-            y, global_purity, ones, empty, empty, empty,
-            alpha_reg * DAMP_GLOBAL(global_purity),
-        )
-    p_all = purity(y, neighbor_sets)
-    p_ones = p_all[ones]
-    s_ones = separation(points, y, neighbor_sets)
-    q = 1.0 - 0.5 * (s_ones + p_ones)
-    total = alpha_reg * DAMP_GLOBAL(global_purity) + float(DAMP_LOCAL(q).sum())
-    return DispersionReport(y, global_purity, ones, p_ones, s_ones, q, total)
+        return damped_global
+    q = 1.0 - 0.5 * (separation(points, y, neighbor_sets) + purity(y, neighbor_sets)[ones])
+    return damped_global + float(DAMP_LOCAL(q).sum())

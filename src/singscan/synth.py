@@ -33,6 +33,8 @@ SHAPES = (
     CONE,
     PINCH_TORUS,
 )
+# Shapes whose generators ignore ShapeSpec.dim.
+FIXED_DIM_SHAPES = (CIRCLE, TWO_CIRCLES, CONE, PINCH_TORUS)
 
 DEFAULT_NOISE = 0.01
 

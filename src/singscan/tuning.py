@@ -28,7 +28,7 @@ from .scoring import (
     knee_detect,
     knn_neighbor_sets,
 )
-from .uniformity import Hyperparams, Radius, Scores, score_configurations
+from .uniformity import Radius, Scores, score_configurations
 
 DEFAULT_ETAS = (0.7, 0.8, 0.9)
 DEFAULT_ALPHAS = (0.3, 0.5, 0.7)
@@ -81,9 +81,8 @@ class GridRow:
 
 @dataclass
 class GridSearchResult:
-    """The dispersion minimizer, its row, scores and labels, and every row."""
+    """The dispersion minimizer's row, scores and labels, and every row."""
 
-    best: Hyperparams
     best_row: GridRow
     scores: Scores
     labels: np.ndarray
@@ -247,13 +246,13 @@ def grid_search(
                         raise failure
                     scores = scores_of(e, j)
                     labels = filter_labels(scores.p_value)
-                    rep = dispersion(coords, labels, neighbor_sets, n / 4.0)
+                    score = dispersion(coords, labels, neighbor_sets, n / 4.0)
                 except (ValueError, RuntimeError) as exc:
                     rows.append(GridRow(r, eta, alpha, math.inf, 0, True, error=str(exc)))
                     continue
                 n_sing = int(labels.sum())
-                rows.append(GridRow(r, eta, alpha, rep.dispersion, n_sing, n_sing == 0))
-                if best is None or rep.dispersion < best[0].dispersion:
+                rows.append(GridRow(r, eta, alpha, score, n_sing, n_sing == 0))
+                if best is None or score < best[0].dispersion:
                     best = rows[-1], scores, labels
         radii += new
         if best is None:
@@ -266,7 +265,5 @@ def grid_search(
             break
         new = _expand_radii(radii, grid.bounds, volume_dim)
 
-    row, scores, labels = best
-    params = Hyperparams(Radius(row.r), row.eta, PowerSeriesKernel(param=row.alpha))
-    return GridSearchResult(params, row, scores, labels, rows)
+    return GridSearchResult(*best, rows)
 

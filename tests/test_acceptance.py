@@ -273,8 +273,8 @@ def test_criterion_10_property_bundle(null_cache):
     # filter/dispersion trivial cases
     pts2 = rng.uniform(0, 1, size=(60, 2))
     nbrs = knn_neighbor_sets(pts2, 10)
-    d_zero = dispersion(pts2, np.zeros(60, int), nbrs, alpha_reg=15.0).dispersion
-    d_one = dispersion(pts2, np.ones(60, int), nbrs, alpha_reg=15.0).dispersion
+    d_zero = dispersion(pts2, np.zeros(60, int), nbrs, alpha_reg=15.0)
+    d_one = dispersion(pts2, np.ones(60, int), nbrs, alpha_reg=15.0)
     checks.append(("all-zero labels give zero dispersion", d_zero == 0.0))
     checks.append(("all-one labels give alpha_reg", abs(d_one - 15.0) <= 1e-12))
 

@@ -9,7 +9,7 @@ import pytest
 from scipy.fft import idctn
 
 from singscan.cli import main
-from singscan.io import InputError, dct_reduce, read_point_cloud_csv
+from singscan.io import InputError, dct_reduce, read_point_cloud_csv, write_point_cloud_csv
 from singscan.synth import ShapeSpec, generate
 
 
@@ -176,6 +176,15 @@ def test_synth_writes_cloud_and_distance_sidecar(tmp_path):
     assert len(dist_lines) == 1001
 
 
+@pytest.mark.parametrize("shape", ["two_spheres", "cone"])
+def test_synth_without_dim_samples_at_the_default_dim(tmp_path, shape):
+    out = tmp_path / "cloud.csv"
+    assert main(["synth", "--shape", shape, "--n", "300", "--output", str(out)]) == 0
+    expected = tmp_path / "expected.csv"
+    write_point_cloud_csv(expected, generate(ShapeSpec(shape, 300, dim=2)).cloud)
+    assert out.read_bytes() == expected.read_bytes()
+
+
 def test_roc_command_perfect_scores(tmp_path):
     scores = tmp_path / "s.csv"
     labels = tmp_path / "y.csv"
@@ -235,8 +244,8 @@ def test_ingest_dct_rejects_non_square(tmp_path):
 
 
 def test_config_file_fills_missing_flags(tmp_path, disk_csv, null_cache):
-    # "threads" names no RunConfig field (the flag is gone); the merge reads
-    # only those fields, so a config file that still carries it loads.
+    # "threads" names no RunConfig field (the flag is gone); the merge accepts
+    # and ignores it, so a config file that still carries it loads.
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "radius": 0.4, "eta": 0.8, "alpha": 0.5, "seed": 0, "threads": 4,
@@ -399,12 +408,32 @@ def test_ill_typed_config_value_is_exit_2(tmp_path, disk_csv, capsys, values):
     assert not (tmp_path / "nulls").exists()
 
 
+def test_misspelled_config_key_is_exit_2(tmp_path, disk_csv, capsys):
+    # Dropped silently, "etaa" would leave eta at its default of 0.8.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"radius": 0.4, "etaa": 0.95, "nul_dir": "x", "threads": 4}))
+    out = tmp_path / "o.csv"
+    code = main(["detect", "--input", str(disk_csv), "--output", str(out),
+                 "--config", str(cfg), "--null-dir", str(tmp_path / "nulls")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'etaa'" in err and "'nul_dir'" in err
+    assert "threads" not in err
+    assert not out.exists() and not (tmp_path / "nulls").exists()
+
+
 @pytest.mark.parametrize("extra", [
     ["--shape", "bogus", "--n", "100"],
     ["--shape", "two_circles", "--n", "0"],
     ["--shape", "two_circles", "--n", "100", "--dim", "0"],
     ["--shape", "two_circles", "--n", "100", "--noise", "-1"],
     ["--shape", "two_circles", "--n", "100", "--seed", "-1"],
+    ["--shape", "sphere", "--n", "100", "--dim", "0"],
+    # these four shapes have a fixed dimension, so an explicit --dim is refused
+    ["--shape", "circle", "--n", "100", "--dim", "2"],
+    ["--shape", "two_circles", "--n", "100", "--dim", "1"],
+    ["--shape", "cone", "--n", "10", "--dim", "5"],
+    ["--shape", "pinch_torus", "--n", "100", "--dim", "2"],
 ])
 def test_synth_bad_parameter_is_exit_2(tmp_path, capsys, extra):
     out = tmp_path / "cloud.csv"

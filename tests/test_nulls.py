@@ -28,7 +28,6 @@ from singscan.nulls import (
     DEFAULT_N_REF,
     TAIL_MASS,
     _read_table,
-    _seed_entropy,
     null_spectrum,
 )
 
@@ -52,11 +51,23 @@ def test_sampler_symmetry_and_radial_moment():
 
 
 def test_build_null_deterministic_and_nonnegative(null_cache):
-    a = build_null(2, KERN, 200, np.random.default_rng(5))
-    b = build_null(2, KERN, 200, np.random.default_rng(5))
+    a = build_null(2, KERN, 200, seed=5)
+    b = build_null(2, KERN, 200, seed=5)
     assert np.array_equal(a.stats, b.stats)
     assert np.all(a.stats >= 0.0)
     assert np.all(np.diff(a.stats) >= 0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("d", [1, 3])
+def test_build_null_is_the_cached_table(d, seed):
+    # The table's identity seeds its draws, so a direct build and the cache
+    # of that seed hold the same table.
+    direct = build_null(d, KERN, 500, seed)
+    cached = NullCache(None, seed=seed, n_sims=500).get(d, KERN)
+    assert direct.seed == cached.seed == seed
+    assert direct.stats.tobytes() == cached.stats.tobytes()
+    assert not np.array_equal(direct.stats, build_null(d, KERN, 500, seed + 1).stats)
 
 
 def _ball_reference(d, n, rng):
@@ -101,7 +112,7 @@ def test_build_leaves_no_thread_behind(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     before = threading.active_count()
-    build_null(2, KERN, 200, np.random.default_rng(0))
+    build_null(2, KERN, 200)
     NullCache(None, seed=0, n_sims=1000).get(3, KERN)
     assert threading.active_count() == before
 
@@ -269,7 +280,7 @@ def test_n_ref_is_accepted_and_has_no_effect(tmp_path):
 
 def test_degenerate_null_rejected():
     with pytest.raises(ValueError, match="n_sims"):
-        build_null(1, KERN, 50, np.random.default_rng(0))
+        build_null(1, KERN, 50)
 
 
 def test_cache_cold_then_warm(tmp_path):
@@ -312,15 +323,7 @@ def test_cache_rebuilds_on_seed_mismatch(tmp_path):
     with pytest.warns(UserWarning, match="rebuilding"):
         t_other = other.get(2, KERN)
     assert t_other.seed == 1
-    direct = build_null(
-        2,
-        KERN,
-        200,
-        np.random.default_rng(
-            np.random.SeedSequence(_seed_entropy((2, *KERN.fingerprint(), 200, 1)))
-        ),
-        seed=1,
-    )
+    direct = build_null(2, KERN, 200, seed=1)
     assert np.array_equal(t_other.stats, direct.stats)
     # An order-4 table under the order-32 name: the header's order disagrees.
     NullCache(tmp_path, seed=0, n_sims=200).get(2, PowerSeriesKernel("geometric", 0.5, 4))

@@ -129,8 +129,8 @@ def test_grid_search_single_configuration(null_cache):
     out = grid_search(lab.cloud, grid, null_cache, seed=0)
     assert len(out.report) == 1
     assert out.best_row.r == 0.25
-    assert out.best.eta == 0.8
-    assert out.best.kernel.param == 0.5
+    assert out.best_row.eta == 0.8
+    assert out.best_row.alpha == 0.5
 
 
 def test_grid_search_report_covers_grid_and_best_is_minimal(null_cache):
@@ -158,11 +158,15 @@ def test_grid_search_two_circles_end_to_end(null_cache):
     r_tilde, r_range = local_scale(lab.cloud, rng=np.random.default_rng(5))
     grid = default_grid(r_range, dim=1.0)
     out = grid_search(lab.cloud, grid, null_cache, seed=0, subsample_fraction=0.25)
-    best_r = out.best.neighborhood.r
-    assert best_r == min(r.r for r in [out.best.neighborhood]) and best_r <= max(grid.radii)
-    from singscan import filter_labels, log_inv_p, score_columns
+    best = out.best_row
+    best_r = best.r
+    assert best_r <= max(grid.radii)
+    from singscan import (
+        Hyperparams, PowerSeriesKernel, Radius, filter_labels, log_inv_p, score_columns,
+    )
 
-    p = score_columns(lab.cloud, out.best, null_cache).p_value
+    params = Hyperparams(Radius(best_r), best.eta, PowerSeriesKernel(param=best.alpha))
+    p = score_columns(lab.cloud, params, null_cache).p_value
     truth = ground_truth_labels(lab, best_r / 2.0)
     assert truth.sum() > 0 and truth.sum() < len(truth)
     # classification scores are log(1/p); the winning configuration must
@@ -191,7 +195,7 @@ def test_grid_search_reports_a_failing_configuration_as_its_own_row(null_cache):
         (0.5, "no table for alpha 0.5"),
         (0.7, None),
     ]
-    assert out.best.kernel.param != 0.5
+    assert out.best_row.alpha != 0.5
     from singscan import filter_labels
 
     assert np.array_equal(out.labels, filter_labels(out.scores.p_value))
