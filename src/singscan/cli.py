@@ -32,7 +32,7 @@ from .kernels import PowerSeriesKernel
 from .mh import mh_report
 from .nulls import DEFAULT_N_REF, DEFAULT_N_SIMS, MIN_N_REF, MIN_N_SIMS, NullCache
 from .scoring import filter_labels
-from .synth import FIXED_DIM_SHAPES, ShapeSpec, generate
+from .synth import ShapeSpec, generate
 from .tuning import (
     MIN_LOCAL_SCALE_POINTS, SearchGrid, _local_scale_with_dim, default_grid, grid_search,
 )
@@ -81,18 +81,25 @@ def _check_file_value(field: dataclasses.Field, value) -> None:
         raise InputError(f"config file: {field.name} must be {field.type}, got {value!r}")
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
+def _refuse_unknown_keys(where: str, keys, known) -> None:
+    unknown = sorted(set(keys) - set(known))
+    if unknown:
+        raise InputError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+
+
+def _merge_config(args: argparse.Namespace, unread: tuple[str, ...] = ()) -> RunConfig:
     """File values fill in wherever the corresponding flag was not given.
 
-    A file key must name a RunConfig field; "threads", the key of a retired
-    flag, is still accepted and ignored."""
+    A file key must name a RunConfig field or "threads", the key of a retired
+    flag.  One file may serve several commands, so the keys this command does
+    not read are accepted and named on stderr: "threads", the fields it has
+    no flag for (auto's tuned hyperparameters, the grid of detect and
+    mh-test), and ``unread``."""
     file_values = _load_config_file(getattr(args, "config", None))
-    known = {field.name for field in dataclasses.fields(RunConfig)} | {"threads"}
-    unknown = sorted(set(file_values) - known)
-    if unknown:
-        raise InputError(f"config file: unknown key(s) {', '.join(map(repr, unknown))}")
+    fields = dataclasses.fields(RunConfig)
+    _refuse_unknown_keys("config file", file_values, [f.name for f in fields] + ["threads"])
     cfg = RunConfig()
-    for field in dataclasses.fields(RunConfig):
+    for field in fields:
         flag = getattr(args, field.name, None)
         if flag is not None:
             setattr(cfg, field.name, flag)
@@ -107,6 +114,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         raise InputError(f"--null-sims must be >= {MIN_N_SIMS}")
     if cfg.null_nref < MIN_N_REF:
         raise InputError(f"--null-nref must be >= {MIN_N_REF}")
+    ignored = {"threads", *unread, *(f.name for f in fields if not hasattr(args, f.name))}
+    ignored = sorted(ignored.intersection(file_values))
+    if ignored:
+        print(f"warning: config file: {args.command} does not read "
+              f"{', '.join(map(repr, ignored))}", file=sys.stderr)
     return cfg
 
 
@@ -167,16 +179,11 @@ def _parse_grid(raw, r_range, volume_dim: float) -> SearchGrid:
             raise InputError(f"--grid is neither JSON text nor a readable JSON file: {exc}")
     if not isinstance(raw, dict):
         raise InputError("--grid must be a JSON object")
+    _refuse_unknown_keys("--grid", raw, [f.name for f in dataclasses.fields(SearchGrid)])
     try:
-        grid = SearchGrid(
-            radii=tuple(raw.get("radii", base.radii)),
-            etas=tuple(raw.get("etas", base.etas)),
-            alphas=tuple(raw.get("alphas", base.alphas)),
-            bounds=tuple(raw.get("bounds", base.bounds)),
-        )
+        return dataclasses.replace(base, **{key: tuple(value) for key, value in raw.items()})
     except (TypeError, ValueError) as exc:
         raise InputError(f"invalid --grid: {exc}")
-    return grid
 
 
 def cmd_auto(args: argparse.Namespace) -> int:
@@ -199,15 +206,25 @@ def cmd_auto(args: argparse.Namespace) -> int:
     return 0
 
 
+def _emit_json(payload: dict, output: str | None) -> None:
+    """Indented JSON to the file ``output``, or to stdout when it is None."""
+    text = json.dumps(payload, indent=2) + "\n"
+    if output is not None:
+        atomic_write_text(output, text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_mh_test(args: argparse.Namespace) -> int:
+    unread = ()
     if args.scores is not None:
         # These flags only set up the scoring that --scores replaces; their
-        # config-file values stay ignored, as a shared config may carry them.
-        unread = [f"--{name}" for name in ("input", "radius", "knn", "eta", "subsample")
-                  if getattr(args, name) is not None]
-        if unread:
-            raise InputError(f"mh-test --scores does not read {', '.join(unread)}")
-    cfg = _merge_config(args)
+        # config-file values are ignored, as a shared config may carry them.
+        unread = ("input", "radius", "knn", "eta", "subsample")
+        flags = [f"--{name}" for name in unread if getattr(args, name) is not None]
+        if flags:
+            raise InputError(f"mh-test --scores does not read {', '.join(flags)}")
+    cfg = _merge_config(args, unread)
     nulls = _null_cache(cfg)
     if args.scores is not None:
         p = read_scores_csv(args.scores)["p_value"]
@@ -231,11 +248,7 @@ def cmd_mh_test(args: argparse.Namespace) -> int:
     if report.upup_stat is not None:
         payload["upup_stat"] = report.upup_stat
         payload["upup_p"] = report.upup_p
-    text = json.dumps(payload, indent=2) + "\n"
-    if cfg.output is not None:
-        atomic_write_text(cfg.output, text)
-    else:
-        sys.stdout.write(text)
+    _emit_json(payload, cfg.output)
     return 0
 
 
@@ -244,21 +257,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise InputError("synth needs --output")
     if args.seed < 0:
         raise InputError("--seed must be >= 0")
-    if args.dim is not None and args.shape in FIXED_DIM_SHAPES:
-        raise InputError(f"synth --shape {args.shape} has a fixed dimension and takes no --dim")
     try:
         spec = ShapeSpec(
-            shape=args.shape, n=args.n, dim=2 if args.dim is None else args.dim,
-            noise_amplitude=args.noise, seed=args.seed,
+            shape=args.shape, n=args.n, dim=args.dim, noise_amplitude=args.noise, seed=args.seed
         )
     except ValueError as exc:
         raise InputError(f"invalid synth parameters: {exc}") from exc
     labeled = generate(spec)
     write_point_cloud_csv(args.output, labeled.cloud)
     out = Path(args.output)
-    dist_path = out.with_name(out.stem + ".dist.csv")
-    lines = ["dist_to_singular"] + [format(v, ".17g") for v in labeled.dist_to_singular]
-    atomic_write_text(dist_path, "\n".join(lines) + "\n")
+    write_point_cloud_csv(out.with_name(out.stem + ".dist.csv"),
+                          labeled.dist_to_singular[:, None], header=["dist_to_singular"])
     return 0
 
 
@@ -284,17 +293,11 @@ def cmd_roc(args: argparse.Namespace) -> int:
         curve = roc_curve(scores, labels)
     except ValueError as exc:  # one class only
         raise InputError(str(exc)) from exc
-    payload = {"auc": curve.auc, "n": int(len(labels)), "n_excluded": curve.n_excluded}
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.output is not None:
-        atomic_write_text(args.output, text)
-    else:
-        sys.stdout.write(text)
+    _emit_json({"auc": curve.auc, "n": int(len(labels)), "n_excluded": curve.n_excluded},
+               args.output)
     if args.curve_out is not None:
-        lines = ["fpr,tpr"] + [
-            f"{f:.17g},{t:.17g}" for f, t in zip(curve.fpr, curve.tpr)
-        ]
-        atomic_write_text(args.curve_out, "\n".join(lines) + "\n")
+        write_point_cloud_csv(args.curve_out, np.column_stack((curve.fpr, curve.tpr)),
+                              header=["fpr", "tpr"])
     return 0
 
 

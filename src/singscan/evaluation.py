@@ -16,19 +16,11 @@ import numpy as np
 from .kernels import PowerSeriesKernel
 from .nulls import NullCache
 from .scoring import log_inv_p
-from .synth import (
-    SOLID_BALL,
-    TWO_DISKS,
-    TWO_SPHERES,
-    ShapeSpec,
-    generate,
-    ground_truth_labels,
-    scaled_experiment_params,
-)
+from .synth import ShapeSpec, generate, ground_truth_labels, scaled_experiment_params
 from .uniformity import Hyperparams, Radius, score_columns
 
 # Family -> base radius r0; all families share N0 = 15000 and growth 1.5.
-FAMILY_R0 = {SOLID_BALL: 0.02, TWO_DISKS: 0.1, TWO_SPHERES: 0.03}
+FAMILY_R0 = {"solid_ball": 0.02, "two_disks": 0.1, "two_spheres": 0.03}
 FAMILY_N0 = 15000
 FAMILY_GROWTH = 1.5
 SUITE_ETA = 0.95

@@ -127,12 +127,15 @@ def _line_pieces(
         yield lines(a, min(a + step, n_lines)).encode()
 
 
-def write_point_cloud_csv(path: str | Path, coords: np.ndarray) -> None:
-    """One point per row, each value as ``%.17g`` (round-trips exactly)."""
+def write_point_cloud_csv(
+    path: str | Path, coords: np.ndarray, header: list[str] | None = None
+) -> None:
+    """One point per row after the header line, if any, each value as
+    ``%.17g`` (round-trips exactly)."""
     rows = np.atleast_2d(coords)
     line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     atomic_write_bytes(path, _line_pieces(
-        None, len(rows), _VALUE_CHARS * rows.shape[1],
+        header, len(rows), _VALUE_CHARS * rows.shape[1],
         lambda a, b: (line * (b - a)) % tuple(rows[a:b].ravel().tolist()),
     ))
 

@@ -14,47 +14,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CIRCLE = "circle"
-SPHERE = "sphere"
-TWO_CIRCLES = "two_circles"
-TWO_SPHERES = "two_spheres"
-SOLID_BALL = "solid_ball"
-TWO_DISKS = "two_disks"
-CONE = "cone"
-PINCH_TORUS = "pinch_torus"
-
-SHAPES = (
-    CIRCLE,
-    SPHERE,
-    TWO_CIRCLES,
-    TWO_SPHERES,
-    SOLID_BALL,
-    TWO_DISKS,
-    CONE,
-    PINCH_TORUS,
-)
-# Shapes whose generators ignore ShapeSpec.dim.
-FIXED_DIM_SHAPES = (CIRCLE, TWO_CIRCLES, CONE, PINCH_TORUS)
-
 DEFAULT_NOISE = 0.01
 
 
 @dataclass(frozen=True)
 class ShapeSpec:
-    """Which shape to sample, how many points, noise amplitude, and seed."""
+    """Which shape to sample, how many points, noise amplitude, and seed.
+
+    ``dim`` is the intrinsic dimension, 2 when None; a shape whose dimension
+    is fixed (circle, two_circles, cone, pinch_torus) takes none."""
 
     shape: str
     n: int
-    dim: int = 2
+    dim: int | None = None
     noise_amplitude: float = DEFAULT_NOISE
     seed: int = 0
 
     def __post_init__(self):
-        if self.shape not in SHAPES:
+        if self.shape not in _SHAPES:
             raise ValueError(f"unknown shape {self.shape!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.dim < 1:
+        if self.dim is not None and _SHAPES[self.shape][1] is not None:
+            raise ValueError(f"{self.shape} has a fixed dimension and takes no dim")
+        if self.dim is not None and self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.noise_amplitude < 0:
             raise ValueError("noise amplitude must be nonnegative")
@@ -93,11 +76,6 @@ def _unit_sphere(d: int, n: int, rng) -> np.ndarray:
     return g / norms[:, None]
 
 
-def _gen_circle(n: int, d: int, rng):
-    pts = _unit_sphere(1, n, rng)
-    return pts, np.full(n, np.inf)
-
-
 def _gen_sphere(n: int, d: int, rng):
     pts = _unit_sphere(d, n, rng)
     return pts, np.full(n, np.inf)
@@ -115,10 +93,6 @@ def _gen_two_spheres(n: int, d: int, rng):
     pts = _unit_sphere(d, n, rng)
     pts[:, 0] += which
     return pts, _two_spheres_dist(pts)
-
-
-def _gen_two_circles(n: int, d: int, rng):
-    return _gen_two_spheres(n, 1, rng)
 
 
 def _gen_solid_ball(n: int, d: int, rng):
@@ -156,47 +130,61 @@ _PINCH_MAJOR = 1.0
 _PINCH_MINOR = 0.4
 
 
+def _rejection_sample(n: int, propose, rng) -> np.ndarray:
+    """The first n accepted of batches of max(2 * missing, 64) proposals:
+    ``propose(m)`` draws m candidate points with their acceptance
+    probabilities, then one uniform per candidate accepts it or not."""
+    batches = []
+    got = 0
+    while got < n:
+        m = max(2 * (n - got), 64)
+        pts, accept = propose(m)
+        keep = rng.random(m) < accept
+        batches.append(pts[keep])
+        got += int(keep.sum())
+    return np.concatenate(batches)[:n]
+
+
 def _gen_pinch_torus(n: int, d: int, rng):
     # Torus with tube radius a * sin(u/2), collapsing to the point (R, 0, 0)
     # at u = 0; rejection sampling against the exact area element.
     R, a = _PINCH_MAJOR, _PINCH_MINOR
     j_max = a * math.sqrt((R + a) ** 2 + (a / 2.0) ** 2)
-    samples = []
-    got = 0
-    while got < n:
-        m = max(2 * (n - got), 64)
+
+    def propose(m):
         u = rng.uniform(0.0, 2.0 * np.pi, m)
         v = rng.uniform(0.0, 2.0 * np.pi, m)
         rho = a * np.sin(u / 2.0)
         drho = (a / 2.0) * np.cos(u / 2.0)
-        jac = rho * np.sqrt((R + rho * np.cos(v)) ** 2 + drho**2)
-        keep = rng.random(m) < jac / j_max
-        u, v, rho = u[keep], v[keep], rho[keep]
         ring = R + rho * np.cos(v)
+        jac = rho * np.sqrt(ring**2 + drho**2)
         pts = np.column_stack((ring * np.cos(u), ring * np.sin(u), rho * np.sin(v)))
-        samples.append(pts)
-        got += len(pts)
-    pts = np.concatenate(samples)[:n]
+        return pts, jac / j_max
+
+    pts = _rejection_sample(n, propose, rng)
     dist = np.linalg.norm(pts - np.array([R, 0.0, 0.0]), axis=1)
     return pts, dist
 
 
-_GENERATORS = {
-    CIRCLE: _gen_circle,
-    SPHERE: _gen_sphere,
-    TWO_CIRCLES: _gen_two_circles,
-    TWO_SPHERES: _gen_two_spheres,
-    SOLID_BALL: _gen_solid_ball,
-    TWO_DISKS: _gen_two_disks,
-    CONE: _gen_cone,
-    PINCH_TORUS: _gen_pinch_torus,
+# Each shape's generator and its fixed intrinsic dimension, None where
+# ShapeSpec.dim sets it.
+_SHAPES = {
+    "circle": (_gen_sphere, 1),
+    "sphere": (_gen_sphere, None),
+    "two_circles": (_gen_two_spheres, 1),
+    "two_spheres": (_gen_two_spheres, None),
+    "solid_ball": (_gen_solid_ball, None),
+    "two_disks": (_gen_two_disks, None),
+    "cone": (_gen_cone, 2),
+    "pinch_torus": (_gen_pinch_torus, 2),
 }
 
 
 def generate(spec: ShapeSpec) -> LabeledCloud:
     """Sample the shape and compute exact distances to its singular locus."""
     rng = np.random.default_rng(spec.seed)
-    pts, dist = _GENERATORS[spec.shape](spec.n, spec.dim, rng)
+    gen, fixed_dim = _SHAPES[spec.shape]
+    pts, dist = gen(spec.n, spec.dim or fixed_dim or 2, rng)
     if spec.noise_amplitude > 0:
         pts = pts + rng.uniform(
             -spec.noise_amplitude, spec.noise_amplitude, size=pts.shape
@@ -228,35 +216,24 @@ def scaled_experiment_params(
 def _gen_ellipsoid(n: int, axes: np.ndarray, rng):
     # Area-uniform via rejection: mapping the unit sphere by diag(axes)
     # stretches area by a factor proportional to ||u / axes|| at u.
-    dim = axes.size - 1
     w_max = float(np.max(1.0 / axes))
-    out = []
-    got = 0
-    while got < n:
-        m = max(2 * (n - got), 64)
-        u = _unit_sphere(dim, m, rng)
-        w = np.linalg.norm(u / axes, axis=1)
-        keep = rng.random(m) < w / w_max
-        out.append(u[keep] * axes)
-        got += int(keep.sum())
-    return np.concatenate(out)[:n], np.full(n, np.inf)
+
+    def propose(m):
+        u = _unit_sphere(axes.size - 1, m, rng)
+        return u * axes, np.linalg.norm(u / axes, axis=1) / w_max
+
+    return _rejection_sample(n, propose, rng), np.full(n, np.inf)
 
 
 def _gen_torus(n: int, major: float, minor: float, rng):
-    out = []
-    got = 0
-    while got < n:
-        m = max(2 * (n - got), 64)
+    def propose(m):
         u = rng.uniform(0.0, 2.0 * np.pi, m)
         v = rng.uniform(0.0, 2.0 * np.pi, m)
-        keep = rng.random(m) < (major + minor * np.cos(v)) / (major + minor)
-        u, v = u[keep], v[keep]
         ring = major + minor * np.cos(v)
-        out.append(
-            np.column_stack((ring * np.cos(u), ring * np.sin(u), minor * np.sin(v)))
-        )
-        got += len(u)
-    return np.concatenate(out)[:n], np.full(n, np.inf)
+        pts = np.column_stack((ring * np.cos(u), ring * np.sin(u), minor * np.sin(v)))
+        return pts, ring / (major + minor)
+
+    return _rejection_sample(n, propose, rng), np.full(n, np.inf)
 
 
 def _gen_sphere_product(n: int, r1: float, r2: float, rng):

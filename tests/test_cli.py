@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.fft import idctn
 
-from singscan.cli import main
+from singscan.cli import _parse_grid, main
 from singscan.io import InputError, dct_reduce, read_point_cloud_csv, write_point_cloud_csv
 from singscan.synth import ShapeSpec, generate
 
@@ -181,7 +181,7 @@ def test_synth_without_dim_samples_at_the_default_dim(tmp_path, shape):
     out = tmp_path / "cloud.csv"
     assert main(["synth", "--shape", shape, "--n", "300", "--output", str(out)]) == 0
     expected = tmp_path / "expected.csv"
-    write_point_cloud_csv(expected, generate(ShapeSpec(shape, 300, dim=2)).cloud)
+    write_point_cloud_csv(expected, generate(ShapeSpec(shape, 300)).cloud)
     assert out.read_bytes() == expected.read_bytes()
 
 
@@ -354,6 +354,9 @@ def test_auto_all_degenerate_grid_is_internal_failure(tmp_path, disk_csv, null_c
     ("auto", ["--seed", "-1"]),
     # JSON longer than a file name may be, which is never looked up as one.
     ("auto", ["--grid", '{"etas": [], "radii": [%s]}' % ", ".join(["0.25"] * 50)]),
+    # misspelt grid keys, which would otherwise leave the default axes
+    ("auto", ["--grid", '{"eta": [0.95], "radius": [0.3]}']),
+    ("auto", ["--grid", '{"radii": [0.3], "bound": [0.1, 0.4]}']),
 ])
 def test_out_of_range_flag_is_exit_2(tmp_path, disk_csv, capsys, command, extra):
     # disk_csv has 400 points.
@@ -362,6 +365,49 @@ def test_out_of_range_flag_is_exit_2(tmp_path, disk_csv, capsys, command, extra)
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "nulls").exists()
+
+
+def test_misspelled_grid_key_names_each_key():
+    with pytest.raises(InputError, match="'eta', 'radius'"):
+        _parse_grid('{"eta": [0.95], "radius": [0.3], "radii": [0.3]}', (0.1, 0.4), 1.0)
+
+
+@pytest.mark.parametrize("command, values, ignored", [
+    ("auto", {"radius": 0.3, "knn": 5, "eta": 0.95, "alpha": 0.7, "subsample": 0.5},
+     ["alpha", "eta", "knn", "radius"]),
+    ("detect", {"radius": 0.4, "grid": {"etas": [0.9]}, "threads": 4}, ["grid", "threads"]),
+    ("mh-test", {"eta": 0.9, "grid": "grid.json"}, ["grid"]),
+    ("mh-test --scores", {"input": "x.csv", "radius": 0.1, "knn": 5, "eta": 0.9,
+                          "subsample": 0.5, "alpha": 0.5}, ["eta", "input", "knn", "radius", "subsample"]),
+    ("detect", {"radius": 0.4, "eta": 0.9}, []),
+], ids=["auto", "detect", "mh-test", "mh-test-scores", "all-read"])
+def test_config_keys_a_command_does_not_read_are_named(tmp_path, capsys, command, values, ignored):
+    # One config file may serve several commands, so these keys load; the
+    # missing input then ends the run before any work.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    missing = str(tmp_path / "missing.csv")
+    where = ["--scores", missing] if "--scores" in command else ["--input", missing]
+    code = main([command.split()[0], *where, "--output", str(tmp_path / "o"), "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    if ignored:
+        names = ", ".join(map(repr, ignored))
+        assert err[0] == f"warning: config file: {command.split()[0]} does not read {names}"
+    assert err[-1].startswith("error:") and len(err) == 1 + bool(ignored)
+
+
+def test_unread_config_grid_leaves_detect_output_unchanged(tmp_path, disk_csv, null_cache, capsys):
+    outputs = []
+    for values in ({"radius": 0.4}, {"radius": 0.4, "grid": {"etas": [0.95]}}):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / f"scores{len(outputs)}.csv"
+        assert main(["detect", "--input", str(disk_csv), "--output", str(out), "--config",
+                     str(cfg), "--null-dir", str(null_cache.directory)]) == 0
+        outputs.append(out.read_bytes())
+    assert capsys.readouterr().err == "warning: config file: detect does not read 'grid'\n"
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("extra", [

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,9 @@ from singscan.synth import (
 )
 
 
-def _noiseless(shape, n, dim=2, seed=0):
-    return generate(ShapeSpec(shape, n, dim=dim, noise_amplitude=0.0, seed=seed))
+def _noiseless(shape, n, dim=None, seed=0):
+    given = {} if dim is None else {"dim": dim}
+    return generate(ShapeSpec(shape, n, noise_amplitude=0.0, seed=seed, **given))
 
 
 def test_circle_and_sphere_on_their_strata():
@@ -274,3 +277,58 @@ def test_shape_spec_validation():
         ShapeSpec("circle", 0)
     with pytest.raises(ValueError):
         ShapeSpec("circle", 10, noise_amplitude=-0.1)
+    with pytest.raises(ValueError):
+        ShapeSpec("sphere", 10, dim=0)
+
+
+@pytest.mark.parametrize("shape", ["circle", "two_circles", "cone", "pinch_torus"])
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_fixed_dimension_shape_refuses_a_dim(shape, dim):
+    with pytest.raises(ValueError, match=shape):
+        ShapeSpec(shape, 10, dim=dim)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of cloud then distances for ShapeSpec(shape, 500, dim=dim,
+# noise_amplitude=0.01, seed=3), dim left out where None: every cloud stays
+# byte for byte as drawn.  circle is sphere and two_circles is two_spheres
+# at dim 1, draw for draw.
+_SHAPE_DIGESTS = {
+    ("circle", None): "eaaacb4e116b079d8a1ef77bfa7f0c9d19899b271c196d814357b696fd3c84ee",
+    ("sphere", None): "5bc64c4c30dfa4dbe4cfa55fde7885cc8c2af248da24aacd1d6611ed992422fa",
+    ("two_circles", None): "9476f588499969c17398186a1e103b92982cf844b9a855794325076ca3572847",
+    ("two_spheres", None): "bc8053e677fca29eb74c39e95392dcaa23be3489086cd12840e5ae1878cbf6df",
+    ("solid_ball", None): "504d1112e89b9613a7ab7accd8ff86ad717804eeb1b76975087a13e519a9ebdd",
+    ("two_disks", None): "d8f83c6865021504914cb00f50f4c4bbcd7c3a8841767c2372fea182c32bf8cf",
+    ("cone", None): "ab81a7b82c011aaad08ffeb3a2a95c819517399d38025f3684b3d5a70a3ee66f",
+    ("pinch_torus", None): "c6656fbb1a1ce467abf18239e6ebbd93da3c94cc6cd7761ff1398b9c4febbc7e",
+    ("sphere", 1): "eaaacb4e116b079d8a1ef77bfa7f0c9d19899b271c196d814357b696fd3c84ee",
+    ("sphere", 3): "573fbe820dfd40b1da4cacf0e6d7dcca8989ec9a0ff51f2e863c9305aba4a9bc",
+    ("two_spheres", 1): "9476f588499969c17398186a1e103b92982cf844b9a855794325076ca3572847",
+    ("two_spheres", 3): "a68ef36a2e9846d2535b5d0503144e90df9f23c69a8caae5cef28b29d7d975fc",
+    ("solid_ball", 1): "c8bc08f3421391bcdd6c89c3807a457076a66b499a742e7aab6c1003020ad9ec",
+    ("solid_ball", 3): "f906458249c2d8fd7406404a01ba475c888b878dbb4e8ccce22007a2876cafb0",
+    ("two_disks", 1): "fc2f727cf36fbf48da631708d0d0921714f29f4a168808d4fc678bf0f5f49120",
+    ("two_disks", 3): "fb0b3aee18ab861f3b25d8de232def1bad0122368944c2f393b34c6256c544bb",
+}
+
+
+@pytest.mark.parametrize("shape, dim", sorted(_SHAPE_DIGESTS, key=str), ids=str)
+def test_shapes_draw_as_before(shape, dim):
+    given = {} if dim is None else {"dim": dim}
+    lab = generate(ShapeSpec(shape, 500, noise_amplitude=0.01, seed=3, **given))
+    assert _digest(lab.cloud, lab.dist_to_singular) == _SHAPE_DIGESTS[shape, dim]
+
+
+def test_mh_benchmark_draws_as_before():
+    # Pins the ellipsoid and torus rejection samplers among the rest: each
+    # cloud, its distances and its flag.
+    rows = mh_benchmark(200, seed=0, instances_per_shape=1)
+    arrays = [a for lab, flag in rows for a in (lab.cloud, lab.dist_to_singular, np.array([flag]))]
+    assert _digest(*arrays) == "417d2bc730721772337ab8a42f60985c49fe42ffd3dc45faf96ebdae987495f1"
