@@ -10,9 +10,11 @@ dispersion score, and aggregated into global manifold-hypothesis tests.
 from .evaluation import RocCurve, SuiteRow, roc_curve, run_synthetic_suite
 from .geometry import (
     MIN_NEIGHBORHOOD,
+    Knn,
     NeighborIndex,
     Neighborhood,
     PcaResult,
+    Radius,
     as_point_cloud,
     estimate_dim,
     local_pca,
@@ -65,8 +67,6 @@ from .tuning import (
 )
 from .uniformity import (
     Hyperparams,
-    Knn,
-    Radius,
     Scores,
     UniformityResult,
     score_columns,

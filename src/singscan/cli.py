@@ -166,10 +166,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_grid(raw, r_range, volume_dim: float) -> SearchGrid:
-    base = default_grid(r_range, volume_dim)
+def _parse_grid(raw) -> dict[str, tuple]:
+    """The axes and bounds that --grid sets, each as a tuple, checked for
+    everything but what ``SearchGrid`` checks against the cloud's defaults."""
     if raw is None:
-        return base
+        return {}
     if isinstance(raw, str):
         # JSON text starts with "{" and is never looked up as a file name,
         # which it can outgrow; anything else names a file.
@@ -181,8 +182,8 @@ def _parse_grid(raw, r_range, volume_dim: float) -> SearchGrid:
         raise InputError("--grid must be a JSON object")
     _refuse_unknown_keys("--grid", raw, [f.name for f in dataclasses.fields(SearchGrid)])
     try:
-        return dataclasses.replace(base, **{key: tuple(value) for key, value in raw.items()})
-    except (TypeError, ValueError) as exc:
+        return {key: tuple(value) for key, value in raw.items()}
+    except TypeError as exc:
         raise InputError(f"invalid --grid: {exc}")
 
 
@@ -190,13 +191,18 @@ def cmd_auto(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     if cfg.input is None or cfg.output is None:
         raise InputError("auto needs --input and --output")
+    axes = _parse_grid(cfg.grid)
     cloud = read_point_cloud_csv(cfg.input)
     if len(cloud) < MIN_LOCAL_SCALE_POINTS:
         raise InputError(f"auto needs at least {MIN_LOCAL_SCALE_POINTS} points, got {len(cloud)}")
     nulls = _null_cache(cfg)
     rng = np.random.default_rng(cfg.seed)
     _, r_range, volume_dim = _local_scale_with_dim(cloud, rng=rng)
-    grid = _parse_grid(cfg.grid, r_range, volume_dim)
+    grid = default_grid(r_range, volume_dim)
+    try:
+        grid = dataclasses.replace(grid, **axes)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"invalid --grid: {exc}")
     search = grid_search(
         cloud, grid, nulls, volume_dim=volume_dim,
         subsample_fraction=cfg.subsample, seed=cfg.seed,
@@ -275,10 +281,10 @@ def _read_score_column(path: str) -> np.ndarray:
     """Either a detect output (log_inv_p column) or a single numeric column."""
     try:
         return read_scores_csv(path)["log_inv_p"]
-    except InputError:
+    except InputError as exc:
         data = read_point_cloud_csv(path)
         if data.shape[1] != 1:
-            raise InputError(f"{path}: expected a scores CSV or a single column")
+            raise InputError(f"{path}: expected a scores CSV or a single column ({exc})")
         return data[:, 0]
 
 

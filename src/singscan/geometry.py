@@ -50,6 +50,24 @@ def as_point_cloud(coords) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Radius:
+    r: float
+
+    def __post_init__(self):
+        if self.r <= 0:
+            raise ValueError("radius must be positive")
+
+
+@dataclass(frozen=True)
+class Knn:
+    k: int
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+
+
+@dataclass(frozen=True)
 class Neighborhood:
     """Members of a ball around one point, rescaled by the isolation radius."""
 
@@ -118,15 +136,14 @@ class NeighborIndex:
     def radius_members(self, i: int, r: float) -> np.ndarray:
         """Indices j != i with ||x_j - x_i|| < r (strict), ascending.  A
         negative i counts from the end, as in a sequence."""
-        return self.radius_chunk_members(np.array([range(self.n)[i]], dtype=np.intp), r)[1]
+        return self.gather(np.array([range(self.n)[i]], dtype=np.intp), Radius(r))[1]
 
     def knn_members(self, i: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         """k nearest neighbors of point i: (indices, distances), sorted by
         (distance, index) so equal distances resolve to the lower index.  A
         negative i counts from the end, as in a sequence."""
-        chunk = np.array([range(self.n)[i]], dtype=np.intp)
-        members, dists = self.knn_chunk_members(chunk, k)
-        return members[0], dists[0]
+        (members,), (dists,) = self.knn([range(self.n)[i]], k)
+        return members, dists
 
     def _chunks(self, queries: np.ndarray, members):
         """Consecutive slices of ``queries`` whose neighbor gathering stays
@@ -183,33 +200,41 @@ class NeighborIndex:
         inside[owner[near], cand[near]] = True
         return inside
 
-    def radius_chunks(self, queries, r: float) -> list[np.ndarray]:
-        """Chunks of ``queries`` for ``radius_chunk_members``, planned before
-        any ball is gathered: every query once, brute-force chunks in query
-        order and KD-tree chunks in ascending order of ball count (the
-        members plus the query itself, as the tree counts them), with ties
-        in query order, so that neighborhoods of one size arrive together."""
+    def chunks(self, queries, hood: Radius | Knn) -> list[np.ndarray]:
+        """Chunks of ``queries`` for ``gather``, planned before any
+        neighborhood is gathered: every query once, in query order, except
+        radius balls on the KD-tree, which come in ascending order of ball
+        count (the members plus the query itself, as the tree counts them),
+        with ties in query order, so that neighborhoods of one size arrive
+        together."""
         queries = np.asarray(queries, dtype=np.intp)
-        counted = None
-        if not self._brute:
+        members = None
+        if isinstance(hood, Knn):
+            members = min(hood.k + 2, self.n)
+        elif not self._brute:
             # Counted first, so that no chunk gathers more than its budget;
             # on two threads, since the scoring pipeline's worker is idle.
             counted = self._tree.query_ball_point(
-                self.coords[queries], r, return_length=True, workers=2
+                self.coords[queries], hood.r, return_length=True, workers=2
             )
             order = np.argsort(counted, kind="stable")
-            queries, counted = queries[order], counted[order]
-        return list(self._chunks(queries, counted))
+            queries, members = queries[order], counted[order]
+        return list(self._chunks(queries, members))
 
-    def radius_chunk_members(self, chunk: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """Member counts of one chunk's queries, and their members j != q with
-        ||x_j - x_q|| < r (strict) flattened in chunk order, each query's
-        ascending."""
+    def gather(self, chunk: np.ndarray, hood: Radius | Knn) -> tuple[np.ndarray, ...]:
+        """Member counts of one chunk's queries, their members flattened in
+        chunk order, and the radius each neighborhood is rescaled by: r and
+        the members j != q with ||x_j - x_q|| < r (strict), each query's
+        ascending, or the k-th neighbor distance and the k nearest of ``knn``."""
+        if isinstance(hood, Knn):
+            members, dists = self.knn(chunk, hood.k)
+            return np.full(len(chunk), hood.k), members.ravel(), dists[:, -1]
         if self._brute:
-            owner, members = np.nonzero(self._brute_inside(chunk, r))
+            owner, members = np.nonzero(self._brute_inside(chunk, hood.r))
         else:
-            owner, members = self._tree_ball(chunk, r)
-        return np.bincount(owner, minlength=len(chunk)), members
+            owner, members = self._tree_ball(chunk, hood.r)
+        counts = np.bincount(owner, minlength=len(chunk))
+        return counts, members, np.full(len(chunk), float(hood.r))
 
     def _nearest(self, centers: np.ndarray, want: int, k: int):
         """(c, want) indices and distances of the ``want`` nearest points of
@@ -229,32 +254,30 @@ class NeighborIndex:
         kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
         return idx, dist, (kth + 2 * slack) * (1 + 2 * self._tol)
 
-    def knn_chunks(self, queries, k: int) -> list[np.ndarray]:
-        """Chunks of ``queries`` for ``knn_chunk_members``, in query order,
-        planned before any neighbor is selected."""
-        return list(self._chunks(np.asarray(queries, dtype=np.intp), min(k + 2, self.n)))
-
-    def knn_chunk_members(self, chunk: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(c, k) members and (c, k) distances of one chunk's queries, each
-        row sorted by (distance, index) so equal distances resolve to the
-        lower index.
+    def knn(self, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(m, k) members and (m, k) distances of the queries, in query
+        order, each row sorted by (distance, index) so equal distances
+        resolve to the lower index.
 
         A query takes k + 2 points from ``_nearest``; if the farthest lies
         past the cut, all within the cut were taken, else it asks again for
         twice as many.  Those within are ranked by (``_pair_dist``, index).
-        Each round's rows go in parts within the chunk budget at its ``want``."""
+        Each round's rows go in parts within the chunk budget at its
+        ``want``; a row does not depend on the parts, since ``_pair_dist``
+        decides it."""
         if not 1 <= k <= self.n - 1:
             raise ValueError("k must satisfy 1 <= k <= n - 1")
-        members = np.empty((len(chunk), k), dtype=np.intp)
-        dists = np.empty((len(chunk), k))
-        rows, want = np.arange(len(chunk)), min(k + 2, self.n)
+        queries = np.asarray(queries, dtype=np.intp)
+        members = np.empty((len(queries), k), dtype=np.intp)
+        dists = np.empty((len(queries), k))
+        rows, want = np.arange(len(queries)), min(k + 2, self.n)
         while rows.size:
             again = []
             for part in self._chunks(rows, want):
-                idx, near, cut = self._nearest(chunk[part], want, k)
+                idx, near, cut = self._nearest(queries[part], want, k)
                 done = (near[:, -1] > cut) | (want == self.n)
                 at, idx, near, cut = part[done], idx[done], near[done], cut[done]
-                centers = np.broadcast_to(chunk[at, None], idx.shape)
+                centers = np.broadcast_to(queries[at, None], idx.shape)
                 inside = (near <= cut[:, None]) & (idx != centers)
                 dist = np.full(idx.shape, np.inf)
                 dist[inside] = self._pair_dist(centers[inside], idx[inside])

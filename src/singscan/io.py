@@ -17,6 +17,7 @@ from .geometry import CACHE_BYTES
 from .scoring import log_inv_p
 
 SCORES_HEADER = ["index", "est_dim", "k_obs", "mmd", "p_value", "log_inv_p", "label"]
+_P_VALUE = SCORES_HEADER.index("p_value")
 GRID_REPORT_HEADER = ["r", "eta", "alpha", "dispersion", "n_singular", "warn_degenerate"]
 # Characters a ``%.17g`` value takes at most with its separator, such as
 # "-2.2250738585072014e-308,"; they size the pieces of text written at once.
@@ -178,7 +179,8 @@ def write_grid_report(path: str | Path, rows) -> None:
 
 
 def read_scores_csv(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a detect output back; empty cells become NaN."""
+    """Read a detect output back; empty cells become NaN.  A finite p_value
+    outside (0, 1], which ``log_inv_p`` refuses, is refused with its line."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"scores file not found: {path}")
@@ -198,6 +200,9 @@ def read_scores_csv(path: str | Path) -> dict[str, np.ndarray]:
                     col.append(float(cell) if cell.strip() else math.nan)
             except ValueError:
                 raise InputError(f"{path}:{lineno}: non-numeric value") from None
+            p = columns[_P_VALUE][-1]
+            if math.isfinite(p) and not 0.0 < p <= 1.0:
+                raise InputError(f"{path}:{lineno}: p_value {p!r} is outside (0, 1]")
     return {name: np.asarray(col) for name, col in zip(SCORES_HEADER, columns)}
 
 

@@ -145,9 +145,7 @@ def knn_neighbor_sets(points, k: int = DISPERSION_NEIGHBORS) -> np.ndarray:
     idx = np.empty((n, k), dtype=np.intp)
     idx[:, 0] = np.arange(n)
     if k > 1:
-        index = NeighborIndex(pts)
-        for chunk in index.knn_chunks(np.arange(n), k - 1):
-            idx[chunk, 1:] = index.knn_chunk_members(chunk, k - 1)[0]
+        idx[:, 1:] = NeighborIndex(pts).knn(np.arange(n), k - 1)[0]
     return idx
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import NeighborIndex, as_point_cloud
+from .geometry import NeighborIndex, Radius, as_point_cloud
 from .kernels import PowerSeriesKernel
 from .nulls import NullCache
 from .scoring import (
@@ -28,7 +28,7 @@ from .scoring import (
     knee_detect,
     knn_neighbor_sets,
 )
-from .uniformity import Radius, Scores, score_configurations
+from .uniformity import Scores, score_configurations
 
 DEFAULT_ETAS = (0.7, 0.8, 0.9)
 DEFAULT_ALPHAS = (0.3, 0.5, 0.7)
@@ -142,10 +142,7 @@ def _local_scale_with_dim(
     rng = rng if rng is not None else np.random.default_rng(0)
     probes = np.sort(rng.choice(n, size=min(LOCAL_SCALE_PROBES, n), replace=False))
     ladder = _scale_ladder(n)
-    index = NeighborIndex(coords)
-
-    top = ladder[-1]
-    dists = np.vstack([index.knn_chunk_members(c, top)[1] for c in index.knn_chunks(probes, top)])
+    dists = NeighborIndex(coords).knn(probes, ladder[-1])[1]
     curves = np.array([[_lb_from_distances(row[:k]) for k in ladder] for row in dists])
     kth_dist = dists[:, np.array(ladder) - 1]
     avg = curves.mean(axis=0)

@@ -24,7 +24,9 @@ from scipy.spatial import cKDTree
 from .geometry import (
     BLOCK_BYTES,
     MIN_NEIGHBORHOOD,
+    Knn,
     NeighborIndex,
+    Radius,
     as_point_cloud,
     local_pca,
     local_pca_stack,
@@ -34,24 +36,6 @@ from .geometry import (
 )
 from .kernels import PowerSeriesKernel, mmd_sq_stack, mmd_sq_vs_uniform_disk
 from .nulls import NullCache, p_value
-
-
-@dataclass(frozen=True)
-class Radius:
-    r: float
-
-    def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("radius must be positive")
-
-
-@dataclass(frozen=True)
-class Knn:
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -127,24 +111,6 @@ def _query_points(n: int, subsample_fraction: float, seed: int) -> np.ndarray:
     return np.sort(rng.choice(n, size=m, replace=False))
 
 
-def _neighborhood_plan(index: NeighborIndex, queries: np.ndarray, hood: Radius | Knn):
-    """The chunks of queries that the neighborhoods are gathered in, planned
-    before any is gathered, and the function that gathers one chunk's
-    (member counts, flattened members, rescaling radii)."""
-    if isinstance(hood, Radius):
-        def gather(chunk):
-            counts, members = index.radius_chunk_members(chunk, hood.r)
-            return counts, members, np.full(len(chunk), float(hood.r))
-
-        return index.radius_chunks(queries, hood.r), gather
-
-    def gather(chunk):
-        members, dists = index.knn_chunk_members(chunk, hood.k)
-        return np.full(len(chunk), hood.k), members.ravel(), dists[:, -1]
-
-    return index.knn_chunks(queries, hood.k), gather
-
-
 def _mmd_columns(coords: np.ndarray, queries: np.ndarray, neighborhood: Radius | Knn, etas, kernels):
     """k_obs of each query, its d_hat under each eta, (len(etas), m), its
     squared MMD under each (kernel, eta), (len(kernels), len(etas), m), NaN
@@ -196,7 +162,7 @@ def _mmd_columns(coords: np.ndarray, queries: np.ndarray, neighborhood: Radius |
 
     def decompose(chunk):
         # The first stage: gather a chunk, stack it by size, decompose.
-        counts, members, scales = gather(chunk)
+        counts, members, scales = index.gather(chunk, neighborhood)
         # Queries are ascending, so this is each chunk query's position.
         at = np.searchsorted(queries, chunk)
         k_obs[at] = counts
@@ -224,7 +190,8 @@ def _mmd_columns(coords: np.ndarray, queries: np.ndarray, neighborhood: Radius |
                 stacks.append((at[sel], dims, projected))
         return stacks
 
-    plan, gather = _neighborhood_plan(NeighborIndex(coords), queries, neighborhood)
+    index = NeighborIndex(coords)
+    plan = index.chunks(queries, neighborhood)
     if len(plan) == 1:
         score(decompose(plan[0]))
         return k_obs, d_hat, mmd, failed

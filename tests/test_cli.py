@@ -369,7 +369,24 @@ def test_out_of_range_flag_is_exit_2(tmp_path, disk_csv, capsys, command, extra)
 
 def test_misspelled_grid_key_names_each_key():
     with pytest.raises(InputError, match="'eta', 'radius'"):
-        _parse_grid('{"eta": [0.95], "radius": [0.3], "radii": [0.3]}', (0.1, 0.4), 1.0)
+        _parse_grid('{"eta": [0.95], "radius": [0.3], "radii": [0.3]}')
+
+
+@pytest.mark.parametrize("grid, message", [
+    ('{"eta": [0.95], "radius": [0.3]}', "error: --grid: unknown key(s) 'eta', 'radius'"),
+    ("{radii: [0.3]}", "error: --grid is neither JSON text nor a readable JSON file"),
+    ('{"radii": 0.3}', "error: invalid --grid: 'float' object is not iterable"),
+], ids=["misspelt_key", "not_json", "not_a_list"])
+def test_grid_is_checked_before_the_local_scale(tmp_path, disk_csv, capsys, monkeypatch, grid,
+                                                 message):
+    def local_scale(*args, **kwargs):
+        raise AssertionError("the local scale ran before --grid was checked")
+
+    monkeypatch.setattr("singscan.cli._local_scale_with_dim", local_scale)
+    code = main(["auto", "--input", str(disk_csv), "--output", str(tmp_path / "o.csv"),
+                 "--grid", grid, "--null-dir", str(tmp_path / "nulls")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(message)
 
 
 @pytest.mark.parametrize("command, values, ignored", [
@@ -421,6 +438,25 @@ def test_mh_test_scores_rejects_scoring_flags(tmp_path, capsys, extra):
     scores = _small_scores(tmp_path / "scores.csv")
     assert main(["mh-test", "--scores", str(scores), *extra]) == 2
     assert extra[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mh-test", "roc"])
+@pytest.mark.parametrize("p", ["1.5", "-0.2", "0"])
+def test_scores_p_value_outside_unit_interval_is_exit_2(tmp_path, capsys, command, p):
+    scores = _small_scores(tmp_path / "scores.csv")
+    lines = scores.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[4] = p
+    lines[5] = ",".join(cells)
+    scores.write_text("\n".join(lines) + "\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("0\n1\n" * 15)
+    extra = ["--labels", str(labels)] if command == "roc" else []
+    out = tmp_path / "out.json"
+    assert main([command, "--scores", str(scores), "--output", str(out), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"scores.csv:6: p_value {float(p)!r}" in err
+    assert "(0, 1]" in err and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["mh-test", "roc"])

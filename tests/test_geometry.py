@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from singscan import (
+    Knn,
     NeighborIndex,
+    Radius,
     estimate_dim,
     local_pca,
     neighbors_knn,
@@ -90,14 +92,15 @@ def test_brute_and_tree_backends_agree():
 
 
 def _radius_parts(index, queries, r):
-    """(chunk, member counts, members) of each chunk that ``radius_chunks``
-    plans."""
-    return [(c, *index.radius_chunk_members(c, r)) for c in index.radius_chunks(queries, r)]
+    """(chunk, member counts, members) of each chunk that ``chunks`` plans
+    for ``Radius(r)``."""
+    return [(c, *index.gather(c, Radius(r))[:2]) for c in index.chunks(queries, Radius(r))]
 
 
 def _knn_parts(index, queries, k):
-    """(chunk, members, distances) of each chunk that ``knn_chunks`` plans."""
-    return [(c, *index.knn_chunk_members(c, k)) for c in index.knn_chunks(queries, k)]
+    """(chunk, members, distances) of each chunk that ``chunks`` plans for
+    ``Knn(k)``."""
+    return [(c, *index.knn(c, k)) for c in index.chunks(queries, Knn(k))]
 
 
 def _grid_cloud(side):
@@ -189,7 +192,42 @@ def test_single_queries_equal_their_planned_chunks(case, monkeypatch):
             assert np.array_equal(got_m, rows[i][0]) and np.array_equal(got_d, rows[i][1])
     for k in (0, n):
         with pytest.raises(ValueError, match="1 <= k <= n - 1"):
-            index.knn_chunk_members(np.arange(3), k)
+            index.knn(np.arange(3), k)
+
+
+@pytest.mark.parametrize("case", sorted(_SINGLE_QUERY_CLOUDS))
+def test_knn_equals_stacked_single_queries(case, monkeypatch):
+    # Shuffled queries, a repeated one among them, in many parts of a small
+    # block budget: each row is that query's own ``knn_members``.
+    monkeypatch.setattr("singscan.geometry.BLOCK_BYTES", 4096)
+    cloud = _SINGLE_QUERY_CLOUDS[case]
+    n = len(cloud)
+    index = NeighborIndex(cloud)
+    queries = np.r_[np.random.default_rng(14).permutation(n), 5]
+    for k in (1, 3, 7):
+        members, dists = index.knn(queries, k)
+        assert members.shape == dists.shape == (n + 1, k)
+        singles = [index.knn_members(int(q), k) for q in queries]
+        assert np.array_equal(members, np.vstack([m for m, _ in singles]))
+        assert np.array_equal(dists, np.vstack([d for _, d in singles]))
+
+
+@pytest.mark.parametrize("case", sorted(_SINGLE_QUERY_CLOUDS))
+def test_gather_rescales_by_the_rule_radius(case):
+    cloud = _SINGLE_QUERY_CLOUDS[case]
+    index = NeighborIndex(cloud)
+    chunk = np.arange(0, len(cloud), 7)
+    r = float(np.quantile(np.linalg.norm(cloud[:, None] - cloud[None], axis=2), 0.1))
+    counts, members, radii = index.gather(chunk, Radius(r))
+    assert radii.tolist() == [r] * len(chunk)
+    assert np.array_equal(counts, [len(index.radius_members(int(q), r)) for q in chunk])
+    assert np.array_equal(members, np.concatenate([index.radius_members(int(q), r) for q in chunk]))
+    for k in (3, 7):
+        counts, members, radii = index.gather(chunk, Knn(k))
+        hoods = [neighbors_knn(cloud, int(q), k, index=index) for q in chunk]
+        assert radii.tolist() == [hood.scale for hood in hoods]
+        assert counts.tolist() == [k] * len(chunk)
+        assert np.array_equal(members, np.concatenate([hood.member_indices for hood in hoods]))
 
 
 @pytest.mark.parametrize("case", ["kdtree", "brute"])

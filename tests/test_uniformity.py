@@ -245,8 +245,8 @@ def test_batched_radius_on_uneven_density_matches_per_point_oracle(null_cache, m
     params = Hyperparams(Radius(0.2), 0.8, KERN)
     r = params.neighborhood.r
     index = NeighborIndex(cloud)
-    sizes = [set(index.radius_chunk_members(chunk, r)[0].tolist())
-             for chunk in index.radius_chunks(np.arange(len(cloud)), r)]
+    sizes = [set(index.gather(chunk, Radius(r))[0].tolist())
+             for chunk in index.chunks(np.arange(len(cloud)), Radius(r))]
     assert any(a & b for a, b in zip(sizes, sizes[1:]))
     cols = score_columns(cloud, params, null_cache)
     oracle = _oracle_columns(cloud, params, null_cache, range(len(cloud)))
@@ -394,8 +394,9 @@ def _many_chunk_case(case):
 
 def _chunks(cloud, hood):
     """Each chunk of the plan, with its (member counts, members, radii)."""
-    plan, gather = uniformity._neighborhood_plan(NeighborIndex(cloud), np.arange(len(cloud)), hood)
-    return [(chunk, *gather(chunk)) for chunk in plan]
+    index = NeighborIndex(cloud)
+    plan = index.chunks(np.arange(len(cloud)), hood)
+    return [(chunk, *index.gather(chunk, hood)) for chunk in plan]
 
 
 def _assert_same_columns(a, b):
@@ -470,13 +471,13 @@ def test_one_chunk_call_starts_no_thread(case, null_cache, monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", recorded_start)
     inline = score_configurations(cloud, hood, etas, kernels, null_cache)
     assert not started
-    real_plan = uniformity._neighborhood_plan
+    real_chunks = NeighborIndex.chunks
 
     def split_in_two(*args):
-        (chunk,), gather = real_plan(*args)
-        return [chunk[: len(chunk) // 2], chunk[len(chunk) // 2 :]], gather
+        (chunk,) = real_chunks(*args)
+        return [chunk[: len(chunk) // 2], chunk[len(chunk) // 2 :]]
 
-    monkeypatch.setattr(uniformity, "_neighborhood_plan", split_in_two)
+    monkeypatch.setattr(NeighborIndex, "chunks", split_in_two)
     pipelined = score_configurations(cloud, hood, etas, kernels, null_cache)
     assert len(started) == 1
     for e, j in itertools.product(range(len(etas)), range(len(kernels))):
@@ -494,22 +495,17 @@ def test_no_thread_outlives_a_scoring_call(null_cache, monkeypatch):
     class Injected(Exception):
         pass
 
-    real = uniformity._neighborhood_plan
+    real = NeighborIndex.gather
+    gathered = []
 
     def third_chunk_fails(*args):
         # Two chunks have been handed to the worker by then.
-        plan, gather = real(*args)
-        gathered = []
+        gathered.append(args)
+        if len(gathered) == 3:
+            raise Injected
+        return real(*args)
 
-        def failing(chunk):
-            gathered.append(chunk)
-            if len(gathered) == 3:
-                raise Injected
-            return gather(chunk)
-
-        return plan, failing
-
-    monkeypatch.setattr(uniformity, "_neighborhood_plan", third_chunk_fails)
+    monkeypatch.setattr(NeighborIndex, "gather", third_chunk_fails)
     with pytest.raises(Injected):
         score_columns(cloud, params, null_cache)
     assert threading.active_count() == before
